@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
-from .network import PHASES, Network
+from .errors import DomainError, SchemaError, require_int, require_real
+from .network import PHASES, Network, parse_phases, phase_rows
 
 DERS_SCHEMA = "gridclear-ders/1"
 
@@ -71,15 +71,6 @@ class Der:
         return reactive_ratio(self.power_factor)
 
 
-def per_phase_injection(der: Der, s_base_kva: float) -> np.ndarray:
-    """Signed per-unit real injection of one DER, split evenly over its phases."""
-    vec = np.zeros(3)
-    share = der.volume_kw / (s_base_kva * len(der.phases))
-    for p in der.phases:
-        vec[PHASES.index(p)] = share
-    return vec
-
-
 def gamma_price(der: Der, big_m: float) -> float:
     """Objective price coefficient: bids at their stated price, offers
     discounted by big_m / volume so grid-feasible offers are preferred."""
@@ -92,15 +83,19 @@ def gamma_price(der: Der, big_m: float) -> float:
 class DerPopulation:
     """All DERs participating in one interval, bound to a feeder.
 
-    a_matrix is the (3N x 3|ders|) bus-scatter matrix: block column j holds
-    I3 at DER j's bus rows.  eta holds the per-DER reactive ratio.
+    Built once by `from_ders`, which also fixes where each DER injects:
+    column j of the read-only (3N x n) real scatter holds DER j's signed
+    per-unit volume, split evenly over its phase rows at its bus, and the
+    reactive scatter is that column times eta[j], the DER's reactive
+    ratio.  column_of maps each DER id to its column.
     """
 
     ders: tuple[Der, ...]
-    a_matrix: np.ndarray
     eta: np.ndarray
     s_base_kva: float
-    _p_phase: np.ndarray = field(repr=False, default=None)
+    column_of: dict = field(repr=False)
+    _gp: np.ndarray = field(repr=False)
+    _gq: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -109,48 +104,31 @@ class DerPopulation:
     @classmethod
     def from_ders(cls, ders, network: Network) -> "DerPopulation":
         ders = tuple(ders)
-        n3 = 3 * network.n
-        a = np.zeros((n3, 3 * len(ders)))
-        p_phase = np.zeros((3, len(ders)))
+        gp = np.zeros((3 * network.n, len(ders)))
         for j, der in enumerate(ders):
-            rows = slice(3 * (der.bus - 1), 3 * der.bus)
-            a[rows, 3 * j:3 * j + 3] = np.eye(3)
-            p_phase[:, j] = per_phase_injection(der, network.s_base_kva)
+            share = der.volume_kw / (network.s_base_kva * len(der.phases))
+            for _, row in phase_rows(der.bus - 1, der.phases):
+                gp[row, j] = share
         eta = np.array([d.eta for d in ders])
-        return cls(ders=ders, a_matrix=a, eta=eta,
-                   s_base_kva=network.s_base_kva, _p_phase=p_phase)
+        gq = gp * eta
+        gp.setflags(write=False)
+        gq.setflags(write=False)
+        return cls(ders=ders, eta=eta, s_base_kva=network.s_base_kva,
+                   column_of={d.id: j for j, d in enumerate(ders)}, _gp=gp, _gq=gq)
 
     def by_id(self, der_id: str) -> Der:
-        for d in self.ders:
-            if d.id == der_id:
-                return d
-        raise KeyError(der_id)
+        return self.ders[self.column_of[der_id]]
 
     def scatter_p(self) -> np.ndarray:
         """(3N x n) map from acceptance fractions to per-unit real injections."""
-        n = self.n
-        g = np.zeros((self.a_matrix.shape[0], n))
-        for j in range(n):
-            g[:, j] = self.a_matrix[:, 3 * j:3 * j + 3] @ self._p_phase[:, j]
-        return g
+        return self._gp
 
     def scatter_q(self) -> np.ndarray:
-        return self.scatter_p() * self.eta[np.newaxis, :]
+        """(3N x n) map from acceptance fractions to per-unit reactive injections."""
+        return self._gq
 
     def subset(self, side: str) -> tuple[Der, ...]:
         return tuple(d for d in self.ders if d.side == side)
-
-
-def _parse_der_phases(value, where: str) -> tuple[str, ...]:
-    if isinstance(value, str):
-        chars = list(value)
-    elif isinstance(value, (list, tuple)):
-        chars = [str(c) for c in value]
-    else:
-        raise SchemaError(f"{where}: phases must be a string or list")
-    if not chars or any(c not in PHASES for c in chars) or len(set(chars)) != len(chars):
-        raise SchemaError(f"{where}: invalid phase set {value!r}")
-    return tuple(p for p in PHASES if p in chars)
 
 
 def load_ders(source, network: Network) -> DerPopulation:
@@ -186,7 +164,7 @@ def load_ders(source, network: Network) -> DerPopulation:
             raise SchemaError(f"{where}: unknown bus {rec.get('bus')!r}") from None
         if bus == 0:
             raise SchemaError(f"{where}: DERs cannot sit at the head bus")
-        phases = _parse_der_phases(rec.get("phases"), where)
+        phases = parse_phases(rec.get("phases"), where)
         if not set(phases) <= set(network.buses[bus].phases):
             raise SchemaError(f"{where}: phase not present at bus {rec['bus']!r}")
         side = rec.get("side")
@@ -196,13 +174,10 @@ def load_ders(source, network: Network) -> DerPopulation:
         if volume <= 0:
             raise DomainError(f"{where}: volume_kw must be positive")
         signed = -volume if side == "bid" else volume
-        try:
-            ders.append(Der(id=der_id, bus=bus, phases=phases, side=side,
-                            price=float(rec.get("price_cents_per_kwh", -1.0)),
-                            volume_kw=signed,
-                            power_factor=float(rec.get("power_factor", 0.0))))
-        except DomainError:
-            raise
+        ders.append(Der(id=der_id, bus=bus, phases=phases, side=side,
+                        price=float(rec.get("price_cents_per_kwh", -1.0)),
+                        volume_kw=signed,
+                        power_factor=float(rec.get("power_factor", 0.0))))
     return DerPopulation.from_ders(ders, network)
 
 
@@ -238,6 +213,18 @@ class GenerationSpec:
     price_lo: float = 1.0
     price_hi: float = 25.0
     power_factor: float = 0.9
+
+    def __post_init__(self):
+        for name in ("n_bids", "n_offers", "seed"):
+            require_int(f"generate.{name}", getattr(self, name), 0)
+        for name in ("volume_mean_kw", "volume_lo_kw", "volume_hi_kw",
+                     "price_mean", "price_lo", "price_hi"):
+            require_real(f"generate.{name}", getattr(self, name))
+        for name in ("volume_sd_kw", "price_sd", "power_factor"):
+            require_real(f"generate.{name}", getattr(self, name), positive=True)
+        for lo, hi in (("volume_lo_kw", "volume_hi_kw"), ("price_lo", "price_hi")):
+            if not getattr(self, lo) < getattr(self, hi):
+                raise DomainError(f"generate.{lo} must be below generate.{hi}")
 
 
 def _truncated_normal(rng, mean, sd, lo, hi) -> float:

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the value checks that raise them.
 
 Every error raised on a user-facing path derives from :class:`GridclearError`
 so callers can catch one base class at the CLI boundary.
 """
+
+import math
+import numbers
 
 
 class GridclearError(Exception):
@@ -47,3 +50,19 @@ class StateError(GridclearError):
 
 class InternalError(GridclearError):
     """An invariant the code relies on failed; indicates a bug, not bad input."""
+
+
+def require_real(where: str, value, *, positive: bool = False) -> None:
+    """Raise DomainError unless `value` is a finite real number (bools are not),
+    and above zero when `positive` is set."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise DomainError(f"{where} must be a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise DomainError(f"{where} must be positive, got {value!r}")
+
+
+def require_int(where: str, value, minimum: int) -> None:
+    """Raise DomainError unless `value` is an integer (not a bool) >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise DomainError(f"{where} must be an integer >= {minimum}, got {value!r}")

@@ -8,7 +8,8 @@ per-unit magnitudes.  Consumption is a negative injection throughout.
 A feeder with N non-head buses is described by stacked per-phase vectors of
 length 3N.  Row 3*(i-1) + phi holds bus i, phase phi (phi = 0, 1, 2 for
 a, b, c); the same layout indexes lines, where line l feeds bus l + 1 after
-canonical ordering.
+canonical ordering.  `phase_rows`, `Network.bus_rows` and
+`Network.line_rows` are the way other modules reach those rows.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ _W = np.array(
 )
 _W_RE = _W.real.copy()
 _W_IM = _W.imag.copy()
+
+
+def phase_rows(slot: int, phases) -> list[tuple[str, int]]:
+    """(phase, row) for each of `phases` in block `slot` of the stacked 3N layout.
+
+    Bus i occupies block i - 1 and line l block l; phases come out in
+    a, b, c order.
+    """
+    return [(p, 3 * slot + i) for i, p in enumerate(PHASES) if p in phases]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -125,6 +135,18 @@ class Network:
             raise DomainError(f"bus index {bus} out of range 1..{self.n}")
         return 3 * (bus - 1) + PHASES.index(phase)
 
+    def bus_rows(self):
+        """Yield (bus, phase, row) for every phase each non-head bus carries."""
+        for bus in self.buses[1:]:
+            for phase, row in phase_rows(bus.index - 1, bus.phases):
+                yield bus, phase, row
+
+    def line_rows(self):
+        """Yield (line, phase, row) for every phase each line carries."""
+        for line in self.lines:
+            for phase, row in phase_rows(line.index, line.phases):
+                yield line, phase, row
+
     def path_to_head(self, bus: int) -> list[int]:
         """Bus indices from `bus` up to (excluding) the head."""
         path = []
@@ -178,7 +200,8 @@ def phase_coupled_impedance(r: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     return r_bar, x_bar
 
 
-def _parse_phases(value, where: str) -> tuple[str, ...]:
+def parse_phases(value, where: str) -> tuple[str, ...]:
+    """A document's phase set ("ab" or ["a", "b"]) as a tuple in a, b, c order."""
     if isinstance(value, str):
         chars = list(value)
     elif isinstance(value, (list, tuple)):
@@ -329,7 +352,7 @@ def load_network(source) -> Network:
     buses = []
     for i, lab in enumerate(order):
         rec = by_label[lab]
-        phases = _parse_phases(rec.get("phases", "abc"), f"bus {lab}")
+        phases = parse_phases(rec.get("phases", "abc"), f"bus {lab}")
         p = _phase_map_to_vec(rec.get("fixed_p_kw"), phases, f"bus {lab} fixed_p_kw") / s_base
         q = _phase_map_to_vec(rec.get("fixed_q_kvar"), phases, f"bus {lab} fixed_q_kvar") / s_base
         buses.append(Bus(index=i, label=lab, phases=phases,
@@ -340,7 +363,7 @@ def load_network(source) -> Network:
         child = index_of[to_lab]
         parent = index_of[str(rec["from"])]
         where = f"line {rec['from']}-{rec['to']}"
-        phases = _parse_phases(rec.get("phases", "abc"), where)
+        phases = parse_phases(rec.get("phases", "abc"), where)
         for end in (parent, child):
             if not set(phases) <= set(buses[end].phases):
                 raise SchemaError(f"{where}: carries a phase absent at bus {buses[end].label!r}")
@@ -405,6 +428,13 @@ def build_matrices(network: Network) -> NetworkMatrices:
     d_x = block_diag(*[xb for _, xb in coupled])
     return NetworkMatrices(c0=_frozen(c0), c=_frozen(c), c_inv=_frozen(c_inv),
                            d_r=_frozen(d_r), d_x=_frozen(d_x))
+
+
+def voltage_rows(network: Network, v) -> list[dict]:
+    """Per-unit voltage magnitude of every carried bus phase, from squared v."""
+    return [{"bus": bus.label, "phase": phase,
+             "v_pu": float(np.sqrt(v[row])) if v[row] > 0 else 0.0}
+            for bus, phase, row in network.bus_rows()]
 
 
 def _check_flow_shape(m: NetworkMatrices, *vecs):

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ders import DerPopulation
+from .ders import Der, DerPopulation
 from .errors import InfeasibleError, InternalError
 from .network import (
+    PHASES,
     Network,
     build_matrices,
     flows_from_injections,
@@ -159,6 +160,14 @@ def qualification_prices(bins: Bins) -> dict:
     return out
 
 
+def _quote(der: Der, alpha: float, m: float) -> IdsoQuote:
+    """Quote of one DER at acceptance alpha; bids shed the network charge m,
+    offers add it."""
+    price = der.price - m if der.side == "bid" else der.price + m
+    return IdsoQuote(der_id=der.id, side=der.side, price_cents_per_kwh=price,
+                     quantity_kw=alpha * der.volume_kw)
+
+
 def make_quotes(bins: Bins) -> list[IdsoQuote]:
     """Aggregate side-bin acceptances into wholesale quotes.
 
@@ -172,12 +181,8 @@ def make_quotes(bins: Bins) -> list[IdsoQuote]:
         if d.id in withheld:
             continue
         a = bins.alpha_a[d.id] if d.side == "bid" else bins.alpha_b[d.id]
-        if a <= ALPHA_TOL:
-            continue
-        price = d.price - m if d.side == "bid" else d.price + m
-        quotes.append(IdsoQuote(der_id=d.id, side=d.side,
-                                price_cents_per_kwh=price,
-                                quantity_kw=a * d.volume_kw))
+        if a > ALPHA_TOL:
+            quotes.append(_quote(d, a, m))
     return quotes
 
 
@@ -190,16 +195,8 @@ def naive_quotes(bins: Bins) -> list[IdsoQuote]:
     and the market may clear one side without the other.
     """
     m = bins.params.m_cents_per_kwh
-    quotes = []
-    for d in bins.population.ders:
-        a = bins.alpha_c[d.id]
-        if a <= ALPHA_TOL:
-            continue
-        price = d.price - m if d.side == "bid" else d.price + m
-        quotes.append(IdsoQuote(der_id=d.id, side=d.side,
-                                price_cents_per_kwh=price,
-                                quantity_kw=a * d.volume_kw))
-    return quotes
+    return [_quote(d, bins.alpha_c[d.id], m) for d in bins.population.ders
+            if bins.alpha_c[d.id] > ALPHA_TOL]
 
 
 def aggregate_curves(quotes) -> tuple[list[CurveStep], list[CurveStep]]:
@@ -392,36 +389,28 @@ def dispatch_check(network: Network, population: DerPopulation, alpha: dict,
     apothem = -gamma[0]  # regular polygon: every gamma_e = -cos(pi / edges)
     report = []
 
-    from .network import PHASES
-    for bus in network.buses[1:]:
-        for i, ph in enumerate(PHASES):
-            if ph not in bus.phases:
-                continue
-            r = 3 * (bus.index - 1) + i
-            val = float(state["v"][r])
-            if val < network.v_min - tol:
-                report.append({"kind": "voltage_low", "bus": bus.label,
-                               "phase": ph, "value": float(np.sqrt(max(val, 0.0))),
-                               "limit": float(np.sqrt(network.v_min))})
-            elif val > network.v_max + tol:
-                report.append({"kind": "voltage_high", "bus": bus.label,
-                               "phase": ph, "value": float(np.sqrt(val)),
-                               "limit": float(np.sqrt(network.v_max))})
+    for bus, ph, r in network.bus_rows():
+        val = float(state["v"][r])
+        if val < network.v_min - tol:
+            report.append({"kind": "voltage_low", "bus": bus.label,
+                           "phase": ph, "value": float(np.sqrt(max(val, 0.0))),
+                           "limit": float(np.sqrt(network.v_min))})
+        elif val > network.v_max + tol:
+            report.append({"kind": "voltage_high", "bus": bus.label,
+                           "phase": ph, "value": float(np.sqrt(val)),
+                           "limit": float(np.sqrt(network.v_max))})
 
-    for line in network.lines:
-        for i, ph in enumerate(PHASES):
-            if ph not in line.phases:
-                continue
-            r = 3 * line.index + i
-            reach = float(np.max(beta * state["p_flow"][r]
-                                 + delta * state["q_flow"][r]))
-            if reach > apothem * line.s_max[i] + tol:
-                frm = network.label_of(line.from_bus)
-                to = network.label_of(line.to_bus)
-                report.append({"kind": "line_overload",
-                               "line": f"{frm}-{to}", "phase": ph,
-                               "value": float(reach / apothem * network.s_base_kva),
-                               "limit": float(line.s_max[i] * network.s_base_kva)})
+    for line, ph, r in network.line_rows():
+        limit = line.s_max[PHASES.index(ph)]
+        reach = float(np.max(beta * state["p_flow"][r]
+                             + delta * state["q_flow"][r]))
+        if reach > apothem * limit + tol:
+            frm = network.label_of(line.from_bus)
+            to = network.label_of(line.to_bus)
+            report.append({"kind": "line_overload",
+                           "line": f"{frm}-{to}", "phase": ph,
+                           "value": float(reach / apothem * network.s_base_kva),
+                           "limit": float(limit * network.s_base_kva)})
 
     for i, ph in enumerate(PHASES):
         reach = float(np.max(beta * state["p0"][i] + delta * state["q0"][i]))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .network import phase_rows
 from .pipeline import ALPHA_TOL, Bins, WpmOutcome, qualification_prices
 
 
@@ -74,17 +75,12 @@ def congestion_on_feed_path(bins: Bins, der_id: str, tol: float = 1e-9) -> list[
     a nonzero lower dual means more consumption would sag below the floor.
     Returns one record per (bus, phase) with a dual above `tol`.
     """
-    from .network import PHASES
-
     d = bins.population.by_id(der_id)
     sol = bins.sol_a if d.side == "bid" else bins.sol_b
     net = bins.network
     records = []
     for bus in net.path_to_head(d.bus):
-        for i, ph in enumerate(PHASES):
-            if ph not in net.buses[bus].phases:
-                continue
-            r = 3 * (bus - 1) + i
+        for ph, r in phase_rows(bus - 1, net.buses[bus].phases):
             up, lo = float(sol.mu_v_upper[r]), float(sol.mu_v_lower[r])
             if max(up, lo) > tol:
                 records.append({"bus": net.label_of(bus), "phase": ph,

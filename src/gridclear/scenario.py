@@ -26,12 +26,14 @@ from .ders import (
     population_document,
 )
 from .errors import ConfigError, SchemaError
-from .network import FEEDER_SCHEMA, Network, load_network
+from .network import FEEDER_SCHEMA, Network, load_network, voltage_rows
 from .pipeline import (
     AffineLmp,
+    IdsoQuote,
     aggregate_curves,
     build_bins,
     dispatch_check,
+    evaluate_dispatch,
     expost_rectify,
     make_quotes,
     mc_ids,
@@ -179,18 +181,6 @@ def _phase_dict(vec, s_base) -> dict:
     return {ph: float(vec[i] * s_base) for i, ph in enumerate("abc")}
 
 
-def _voltage_rows(network: Network, v) -> list:
-    rows = []
-    for bus in network.buses[1:]:
-        for i, ph in enumerate("abc"):
-            if ph not in bus.phases:
-                continue
-            val = float(v[3 * (bus.index - 1) + i])
-            rows.append({"bus": bus.label, "phase": ph,
-                         "v_pu": float(val**0.5 if val > 0 else 0.0)})
-    return rows
-
-
 def run_scenario(config: ScenarioConfig, output_dir=None) -> ScenarioResult:
     """Execute one interval and optionally export its artifacts.
 
@@ -224,9 +214,6 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> ScenarioResult:
     signals = retail_signals(bins, outcome, cutoffs)
     violations = dispatch_check(network, population, outcome.final_alpha,
                                 config.params)
-
-    from .pipeline import evaluate_dispatch
-
     state = evaluate_dispatch(network, population, outcome.final_alpha)
     s = network.s_base_kva
     outcome_doc = {
@@ -246,7 +233,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> ScenarioResult:
         "rectification": outcome.rectification,
         "final_alpha": {k: float(v) for k, v in sorted(outcome.final_alpha.items())},
         "final_state": {
-            "voltages": _voltage_rows(network, state["v"]),
+            "voltages": voltage_rows(network, state["v"]),
             "head_kw": _phase_dict(state["p0"], s),
             "head_kvar": _phase_dict(state["q0"], s),
         },
@@ -325,8 +312,6 @@ def emit_plot_data(run_dir, out_dir=None) -> list[Path]:
     Writes voltages.csv, nqp.csv, curves.csv, retail_compare.csv and
     returns their paths.
     """
-    from .pipeline import IdsoQuote
-
     run_dir = Path(run_dir)
     out = Path(out_dir) if out_dir is not None else run_dir / "plotdata"
     out.mkdir(parents=True, exist_ok=True)

@@ -15,19 +15,22 @@ then E blocks of line-polygon rows, then E blocks of head-polygon rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from ._lp import solve_lp
 from .ders import Der, DerPopulation, gamma_price
-from .errors import DomainError, SchemaError, ShapeError, StateError
+from .errors import DomainError, SchemaError, ShapeError, StateError, require_int, require_real
 from .network import (
     Network,
     NetworkMatrices,
     build_matrices,
     head_injection,
     lindistflow_voltages,
+    phase_rows,
+    voltage_rows,
 )
 
 
@@ -64,6 +67,12 @@ class TdopfParams:
     big_m_cents: float = 1000.0
     polygon_edges: int = 12
     polygon_coeffs: tuple | None = None
+
+    def __post_init__(self):
+        require_real("market.m_cents_per_kwh", self.m_cents_per_kwh)
+        require_real("market.delta_t_hours", self.delta_t_hours, positive=True)
+        require_real("market.big_m_cents", self.big_m_cents)
+        require_int("market.polygon_edges", self.polygon_edges, 3)
 
     def polygon(self):
         if self.polygon_coeffs is not None:
@@ -143,18 +152,6 @@ class TdopfSolution:
     message: str = ""
 
 
-def _absent_phase_mask(network: Network) -> np.ndarray:
-    """True at stacked line-phase rows whose phase the line does not carry."""
-    from .network import PHASES
-
-    mask = np.zeros(3 * network.n, dtype=bool)
-    for line in network.lines:
-        for i, p in enumerate(PHASES):
-            if p not in line.phases:
-                mask[3 * line.index + i] = True
-    return mask
-
-
 def assemble(network: Network, population: DerPopulation, params: TdopfParams,
              clamp: dict | None = None, zero_net_volume: tuple = ()) -> TdopfProblem:
     """Build the acceptance LP for one interval.
@@ -171,14 +168,14 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     matrices = build_matrices(network)
     n = population.n
     n3 = 3 * network.n
-    ids = [d.id for d in population.ders]
+    columns = population.column_of
     for der_id, value in clamp.items():
-        if der_id not in ids:
+        if der_id not in columns:
             raise SchemaError(f"clamp references unknown DER {der_id!r}")
         if not 0.0 <= value <= 1.0:
             raise DomainError(f"clamp for {der_id!r} outside [0, 1]: {value}")
     for der_id in zero_net_volume:
-        if der_id not in ids:
+        if der_id not in columns:
             raise SchemaError(f"volume coupling references unknown DER {der_id!r}")
 
     gp = population.scatter_p()
@@ -203,7 +200,7 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     b_eq[n3:2 * n3] = q_f
     if zero_net_volume:
         for der_id in zero_net_volume:
-            j = ids.index(der_id)
+            j = columns[der_id]
             a_eq[-1, j] = population.ders[j].volume_kw
 
     mv_p = 2.0 * matrices.c_inv @ matrices.d_r
@@ -238,7 +235,6 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
         c[j] = gamma_price(der, params.big_m_cents) * der.volume_kw * params.delta_t_hours
     c[sl_p] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))
 
-    absent = _absent_phase_mask(network)
     bounds = []
     for der in population.ders:
         if der.id in clamp:
@@ -246,9 +242,11 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
             bounds.append((v, v))
         else:
             bounds.append((0.0, 1.0))
-    for _ in range(2):
-        for row in range(n3):
-            bounds.append((0.0, 0.0) if absent[row] else (None, None))
+    # flows on phases a line does not carry are pinned at zero
+    flow_bounds = [(0.0, 0.0)] * n3
+    for _, _, row in network.line_rows():
+        flow_bounds[row] = (None, None)
+    bounds += flow_bounds * 2
 
     return TdopfProblem(
         network=network, matrices=matrices, population=population, params=params,
@@ -276,8 +274,6 @@ def _diagnose_infeasibility(problem: TdopfProblem) -> tuple:
     Tries single families first, then pairs, then all three; if even the
     bare balance system cannot hold, says so.
     """
-    from itertools import combinations
-
     keep_all = np.ones(problem.a_ub.shape[0], dtype=bool)
     for size in (1, 2, 3):
         for combo in combinations(_ROW_FAMILIES, size):
@@ -384,7 +380,7 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
         znv = np.zeros(n)
         if problem.zero_net_volume:
             for der_id in problem.zero_net_volume:
-                j = [d.id for d in problem.population.ders].index(der_id)
+                j = problem.population.column_of[der_id]
                 znv[j] = vols[j] * solution.lambda_net_volume
         r_alpha = (c_alpha + problem.gp.T @ solution.lambda_p
                    + problem.gq.T @ solution.lambda_q - znv
@@ -425,7 +421,7 @@ def qualification_price(der: Der, lambda_p, lambda_q, big_m: float,
     """
     lambda_p = np.asarray(lambda_p, dtype=float)
     lambda_q = np.asarray(lambda_q, dtype=float)
-    rows = [3 * (der.bus - 1) + i for i, p in enumerate(("a", "b", "c")) if p in der.phases]
+    rows = [row for _, row in phase_rows(der.bus - 1, der.phases)]
     if lambda_p.ndim != 1 or lambda_p.shape != lambda_q.shape or max(rows) >= len(lambda_p):
         raise ShapeError("dual vectors do not cover the DER's bus rows")
     total = sum(-lambda_p[r] - der.eta * lambda_q[r] for r in rows)
@@ -438,8 +434,6 @@ def qualification_price(der: Der, lambda_p, lambda_q, big_m: float,
 def solution_document(solution: TdopfSolution, network: Network,
                       population: DerPopulation) -> dict:
     """Serializable record of one solve: acceptances, network state, duals."""
-    from .network import PHASES
-
     doc = {"schema": "gridclear-solution/1", "status": solution.status,
            "objective_cents": solution.objective_cents}
     if solution.status != "optimal":
@@ -447,38 +441,23 @@ def solution_document(solution: TdopfSolution, network: Network,
         doc["alpha"] = None
         return doc
     doc["alpha"] = {d.id: solution.alpha[d.id] for d in population.ders}
-    voltages = []
-    lam_p = []
-    lam_q = []
-    for bus in network.buses[1:]:
-        for i, ph in enumerate(PHASES):
-            if ph not in bus.phases:
-                continue
-            row = 3 * (bus.index - 1) + i
-            voltages.append({"bus": bus.label, "phase": ph,
-                             "v_pu": float(np.sqrt(solution.v[row]))})
-            lam_p.append({"bus": bus.label, "phase": ph,
-                          "value": float(solution.lambda_p[row])})
-            lam_q.append({"bus": bus.label, "phase": ph,
-                          "value": float(solution.lambda_q[row])})
-    flows = []
-    for line in network.lines:
-        for i, ph in enumerate(PHASES):
-            if ph not in line.phases:
-                continue
-            row = 3 * line.index + i
-            flows.append({
-                "from": network.label_of(line.from_bus),
-                "to": network.label_of(line.to_bus),
-                "phase": ph,
-                "p_kw": float(solution.p_flow[row] * network.s_base_kva),
-                "q_kvar": float(solution.q_flow[row] * network.s_base_kva),
-            })
-    doc["voltages"] = voltages
-    doc["flows"] = flows
+
+    def bus_values(vec):
+        return [{"bus": bus.label, "phase": ph, "value": float(vec[row])}
+                for bus, ph, row in network.bus_rows()]
+
+    doc["voltages"] = voltage_rows(network, solution.v)
+    doc["flows"] = [{
+        "from": network.label_of(line.from_bus),
+        "to": network.label_of(line.to_bus),
+        "phase": ph,
+        "p_kw": float(solution.p_flow[row] * network.s_base_kva),
+        "q_kvar": float(solution.q_flow[row] * network.s_base_kva),
+    } for line, ph, row in network.line_rows()]
     doc["head"] = {
         "p_kw": [float(v * network.s_base_kva) for v in solution.p0],
         "q_kvar": [float(v * network.s_base_kva) for v in solution.q0],
     }
-    doc["duals"] = {"lambda_p": lam_p, "lambda_q": lam_q}
+    doc["duals"] = {"lambda_p": bus_values(solution.lambda_p),
+                    "lambda_q": bus_values(solution.lambda_q)}
     return doc

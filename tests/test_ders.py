@@ -14,7 +14,6 @@ from gridclear.ders import (
     gamma_price,
     generate_population,
     load_ders,
-    per_phase_injection,
     population_document,
     reactive_ratio,
 )
@@ -42,20 +41,28 @@ class TestReactiveRatio:
                 reactive_ratio(bad)
 
 
+def bus_injection(der, net):
+    """The real-scatter column of a one-DER population, cut to the DER's bus rows."""
+    gp = DerPopulation.from_ders([der], net).scatter_p()
+    rows = slice(3 * (der.bus - 1), 3 * der.bus)
+    assert_allclose(np.delete(gp[:, 0], np.arange(gp.shape[0])[rows]), 0.0)
+    return gp[rows, 0]
+
+
 class TestPerPhaseInjection:
-    def test_single_phase_offer(self):
+    def test_single_phase_offer(self, small_net):
         # 29 kW on phase c at a 1000 kVA base
-        vec = per_phase_injection(make_der(), s_base_kva=1000.0)
+        vec = bus_injection(make_der(), small_net)
         assert_allclose(vec, [0.0, 0.0, 0.029], atol=1e-15)
 
-    def test_two_phase_bid_splits_evenly(self):
+    def test_two_phase_bid_splits_evenly(self, small_net):
         der = make_der(side="bid", volume=30.0, phases=("a", "b"))
-        vec = per_phase_injection(der, s_base_kva=1000.0)
+        vec = bus_injection(der, small_net)
         assert_allclose(vec, [-0.015, -0.015, 0.0], atol=1e-15)
 
-    def test_sum_recovers_total(self):
+    def test_sum_recovers_total(self, small_net):
         der = make_der(side="bid", volume=42.0, phases=("a", "b", "c"))
-        vec = per_phase_injection(der, s_base_kva=1000.0)
+        vec = bus_injection(der, small_net)
         assert vec.sum() == pytest.approx(-42.0 / 1000.0, abs=1e-15)
 
 
@@ -165,7 +172,7 @@ class TestDocumentIngestion:
 
 
 class TestPopulationStructure:
-    def test_a_matrix_blocks(self, small_net):
+    def test_scatter_blocks(self, small_net):
         doc = ders_doc([
             {"id": "b1", "bus": 1, "phases": "a", "side": "bid",
              "price_cents_per_kwh": 12.0, "volume_kw": 20.0, "power_factor": 0.9},
@@ -173,15 +180,20 @@ class TestPopulationStructure:
              "price_cents_per_kwh": 9.5, "volume_kw": 16.0, "power_factor": 0.9},
         ])
         pop = load_ders(doc, small_net)
-        a = pop.a_matrix
-        assert a.shape == (6, 6)
-        assert_allclose(a[0:3, 0:3], np.eye(3))   # b1 at bus 1
-        assert_allclose(a[3:6, 3:6], np.eye(3))   # o1 at bus 2
-        assert_allclose(a[3:6, 0:3], 0.0)
-        # each block column scatters exactly one identity
-        assert a.sum() == pytest.approx(6.0)
+        gp = pop.scatter_p()
+        assert gp.shape == (6, 2)
+        assert_allclose(gp[0:3, 0], [-0.02, 0.0, 0.0])    # b1 at bus 1
+        assert_allclose(gp[3:6, 1], [0.008, 0.008, 0.0])  # o1 at bus 2
+        assert_allclose(gp[3:6, 0], 0.0)
+        assert_allclose(gp[0:3, 1], 0.0)
+        # each column scatters exactly its DER's signed volume
+        assert_allclose(gp.sum(axis=0), [-0.02, 0.016])
+        assert pop.column_of == {"b1": 0, "o1": 1}
+        assert pop.by_id("o1") is pop.ders[1]
+        with pytest.raises(ValueError):
+            gp[0, 0] = 1.0
 
-    def test_scatter_consistent_with_a_matrix(self, small_net):
+    def test_scatter_q_follows_scatter_p(self, small_net):
         doc = ders_doc([
             {"id": "o1", "bus": 2, "phases": "ab", "side": "offer",
              "price_cents_per_kwh": 9.5, "volume_kw": 16.0, "power_factor": 0.9},
@@ -189,8 +201,7 @@ class TestPopulationStructure:
         pop = load_ders(doc, small_net)
         gp = pop.scatter_p()
         gq = pop.scatter_q()
-        vec = per_phase_injection(pop.ders[0], small_net.s_base_kva)
-        assert_allclose(gp[:, 0], pop.a_matrix[:, 0:3] @ vec, atol=1e-15)
+        assert_allclose(gp[:, 0], [0.0, 0.0, 0.0, 0.008, 0.008, 0.0], atol=1e-15)
         assert_allclose(gq[:, 0], gp[:, 0] * reactive_ratio(0.9), atol=1e-15)
 
 

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from gridclear.errors import DomainError, SchemaError, ShapeError, TopologyError
 from gridclear.network import (
+    PHASES,
     Network,
     build_matrices,
     flows_from_injections,
@@ -12,6 +13,7 @@ from gridclear.network import (
     load_network,
     phase_coupled_impedance,
 )
+from gridclear.scenario import bundled_feeder
 
 from conftest import R_OHM_MILE, X_OHM_MILE, bus_rec, feeder_doc, line_rec, random_tree_doc
 
@@ -166,6 +168,23 @@ class TestLoading:
         )
         with pytest.raises(SchemaError):
             load_network(doc)
+
+
+class TestRowLayout:
+    def test_row_iterators_agree_with_row_of(self):
+        net = load_network(bundled_feeder())
+        bus_rows = list(net.bus_rows())
+        assert [(b.index, ph) for b, ph, _ in bus_rows] == [
+            (b.index, ph) for b in net.buses[1:] for ph in PHASES if ph in b.phases]
+        for bus, ph, row in bus_rows:
+            assert row == net.row_of(bus.index, ph)
+        line_rows = list(net.line_rows())
+        assert [(l.index, ph) for l, ph, _ in line_rows] == [
+            (l.index, ph) for l in net.lines for ph in PHASES if ph in l.phases]
+        for line, ph, row in line_rows:
+            assert row == net.row_of(line.to_bus, ph)  # line l feeds bus l + 1
+        # the feeder's single- and two-phase laterals leave rows to skip
+        assert len(line_rows) <= len(bus_rows) < 3 * net.n
 
 
 class TestIncidence:

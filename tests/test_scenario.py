@@ -12,7 +12,7 @@ from gridclear.scenario import (
     run_scenario,
 )
 
-from conftest import mc_feeder_doc
+from conftest import bus_rec, feeder_doc, line_rec, mc_feeder_doc
 
 
 def ders_doc(offer_price=9.0, include_offer=True):
@@ -144,6 +144,63 @@ class TestRun:
         assert len(exported["ders"]) == 3
 
 
+def generate_spec(**spec):
+    return {"generate": dict({"n_bids": 2, "n_offers": 1, "seed": 11}, **spec)}
+
+
+# each one replaces a top-level section of a valid scenario
+BAD_CONFIGS = {
+    "wrong-schema": {"schema": "nope"},
+    "price-window-reversed": {"ders": generate_spec(price_lo=30, price_hi=5)},
+    "count-as-string": {"ders": generate_spec(n_offers="3")},
+    "negative-count": {"ders": generate_spec(n_bids=-2)},
+    "charge-as-string": {"market": {"m_cents_per_kwh": "2.5", "lmp": 13.0}},
+    "zero-interval": {"market": {"m_cents_per_kwh": 2.5, "delta_t_hours": 0,
+                                 "lmp": 13.0}},
+}
+
+
+def lateral_feeder_doc():
+    """Three-phase trunk head-1-3 with a phase-b lateral 1-2."""
+    lateral = {"from": 1, "to": 2, "phases": "b",
+               "r_ohm": [[0, 0, 0], [0, 0.3, 0], [0, 0, 0]],
+               "x_ohm": [[0, 0, 0], [0, 0.6, 0], [0, 0, 0]],
+               "s_max_kva": {"b": 500.0}}
+    return feeder_doc(
+        buses=[bus_rec(0), bus_rec(1, p_kw={"a": -20.0, "c": -10.0}),
+               bus_rec(2, phases="b", p_kw={"b": -15.0}), bus_rec(3)],
+        lines=[line_rec(0, 1, scale=0.2), lateral, line_rec(1, 3, scale=0.2)],
+    )
+
+
+def test_exports_list_only_carried_phases(tmp_path):
+    ders = {"schema": "gridclear-ders/1", "ders": [
+        {"id": "b1", "bus": 2, "phases": "b", "side": "bid",
+         "price_cents_per_kwh": 16.0, "volume_kw": 20.0, "power_factor": 0.9},
+        {"id": "o1", "bus": 3, "phases": "abc", "side": "offer",
+         "price_cents_per_kwh": 9.0, "volume_kw": 30.0, "power_factor": 0.9},
+    ]}
+    config = load_scenario({"schema": "gridclear-scenario/1",
+                            "feeder": lateral_feeder_doc(), "ders": ders,
+                            "market": {"m_cents_per_kwh": 2.5, "lmp": 13.0}})
+    run_scenario(config, tmp_path)
+    joint = json.loads((tmp_path / "solution_joint.json").read_text())
+    outcome = json.loads((tmp_path / "outcome.json").read_text())
+
+    def pairs(rows):
+        return [(r["bus"], r["phase"]) for r in rows]
+
+    bus_phases = [("1", "a"), ("1", "b"), ("1", "c"), ("2", "b"),
+                  ("3", "a"), ("3", "b"), ("3", "c")]
+    assert pairs(joint["voltages"]) == bus_phases
+    assert pairs(joint["duals"]["lambda_p"]) == bus_phases
+    assert pairs(joint["duals"]["lambda_q"]) == bus_phases
+    assert [(f["from"], f["to"], f["phase"]) for f in joint["flows"]] == [
+        ("0", "1", "a"), ("0", "1", "b"), ("0", "1", "c"), ("1", "2", "b"),
+        ("1", "3", "a"), ("1", "3", "b"), ("1", "3", "c")]
+    assert pairs(outcome["final_state"]["voltages"]) == pairs(joint["voltages"])
+
+
 class TestCli:
     def test_run_and_plot_data(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path)
@@ -181,10 +238,13 @@ class TestCli:
         assert f1.read_bytes() == f2.read_bytes()
         assert len(json.loads(f1.read_text())["ders"]) == 5
 
-    def test_bad_config_exit_code(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"schema\": \"nope\"}")
-        assert main(["run", "-c", str(bad)]) == 2
+    @pytest.mark.parametrize("override", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_bad_config_exit_code(self, tmp_path, capsys, override):
+        path = write_scenario(tmp_path)
+        doc = json.loads(path.read_text())
+        doc.update(override)
+        path.write_text(json.dumps(doc))
+        assert main(["run", "-c", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_infeasible_feeder_exit_code(self, tmp_path, capsys):
