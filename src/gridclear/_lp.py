@@ -8,6 +8,8 @@ the returned marginals satisfy
     c = A_eq' eq_marginals + A_ub' ub_marginals + lower_marginals + upper_marginals
 
 with ub_marginals <= 0, lower_marginals >= 0, upper_marginals <= 0.
+The constraint matrices are scipy.sparse and are handed to the solver as
+they are; a matrix with no rows stands for no constraints of its kind.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 
 _STATUS = {0: "optimal", 1: "numerical", 2: "infeasible", 3: "unbounded", 4: "numerical"}
@@ -40,8 +41,8 @@ class LpResult:
 
 
 def solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds) -> LpResult:
-    a_ub_s = sparse.csr_matrix(a_ub) if a_ub is not None and np.size(a_ub) else None
-    a_eq_s = sparse.csr_matrix(a_eq) if a_eq is not None and np.size(a_eq) else None
+    a_ub_s = a_ub if a_ub is not None and a_ub.shape[0] else None
+    a_eq_s = a_eq if a_eq is not None and a_eq.shape[0] else None
     res = linprog(c, A_ub=a_ub_s, b_ub=b_ub, A_eq=a_eq_s, b_eq=b_eq,
                   bounds=bounds, method="highs", options=_OPTIONS)
     status = _STATUS.get(res.status, "numerical")

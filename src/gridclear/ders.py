@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import DomainError, SchemaError, require_int, require_real
 from .network import PHASES, Network, parse_phases, phase_rows
@@ -197,6 +198,11 @@ def population_document(pop: DerPopulation, network: Network) -> dict:
     return {"schema": DERS_SCHEMA, "ders": recs}
 
 
+# Smallest share of a sampling normal a truncation window may hold: about
+# 1e4 rejected draws per accepted value.
+MIN_WINDOW_MASS = 1e-4
+
+
 @dataclass(frozen=True)
 class GenerationSpec:
     """Parameters for sampling a synthetic DER population."""
@@ -222,13 +228,23 @@ class GenerationSpec:
             require_real(f"generate.{name}", getattr(self, name))
         for name in ("volume_sd_kw", "price_sd", "power_factor"):
             require_real(f"generate.{name}", getattr(self, name), positive=True)
-        for lo, hi in (("volume_lo_kw", "volume_hi_kw"), ("price_lo", "price_hi")):
-            if not getattr(self, lo) < getattr(self, hi):
+        for mean, sd, lo, hi in (
+            ("volume_mean_kw", "volume_sd_kw", "volume_lo_kw", "volume_hi_kw"),
+            ("price_mean", "price_sd", "price_lo", "price_hi"),
+        ):
+            mu, sigma, a, b = (getattr(self, name) for name in (mean, sd, lo, hi))
+            if not a < b:
                 raise DomainError(f"generate.{lo} must be below generate.{hi}")
+            # rejection sampling takes 1 / mass draws per value on average
+            mass = ndtr((b - mu) / sigma) - ndtr((a - mu) / sigma)
+            if not mass >= MIN_WINDOW_MASS:
+                raise DomainError(
+                    f"generate.{lo}/{hi}: window [{a}, {b}] holds {mass:.3g} of the "
+                    f"normal({mu}, {sigma}) mass, below {MIN_WINDOW_MASS}")
 
 
 def _truncated_normal(rng, mean, sd, lo, hi) -> float:
-    # plain rejection; acceptance rate is high for the default parameters
+    # plain rejection; GenerationSpec bounds the expected number of draws
     while True:
         draw = rng.normal(mean, sd)
         if lo <= draw <= hi:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import block_diag, solve_triangular
 
 from .errors import DomainError, SchemaError, ShapeError, TopologyError
@@ -84,6 +86,10 @@ class Line:
 class Network:
     """A validated radial feeder in canonical ordering.
 
+    `matrices` and `voltage_block` are built from the feeder on first use
+    and kept for the life of the object, so a `Network` must not be
+    mutated (its buses, lines or their arrays) once either has been read.
+
     Attributes
     ----------
     buses : list[Bus]
@@ -114,6 +120,26 @@ class Network:
 
     def index_of(self, label) -> int:
         return self._index_of[str(label)]
+
+    @cached_property
+    def matrices(self) -> NetworkMatrices:
+        """`build_matrices(self)`, built on first use and kept."""
+        return build_matrices(self)
+
+    @cached_property
+    def voltage_block(self) -> sparse.csr_array:
+        """Voltage-box rows of the acceptance LP over the flow columns [P, Q].
+
+        CSR of shape (2*3N, 2*3N): the upper-limit rows 2 c_inv [D_r D_x],
+        then the lower-limit rows, their negation.  The entries are those
+        of the dense products, computed once per feeder.
+        """
+        m = self.matrices
+        mv_p = 2.0 * m.c_inv @ m.d_r
+        mv_q = 2.0 * m.c_inv @ m.d_x
+        upper = sparse.hstack([sparse.csr_array(mv_p), sparse.csr_array(mv_q)],
+                              format="csr")
+        return sparse.vstack([upper, -upper], format="csr")
 
     def label_of(self, index: int) -> str:
         return self.buses[index].label
@@ -158,8 +184,10 @@ class Network:
 
 @dataclass(frozen=True)
 class NetworkMatrices:
-    """Constant matrices of the linearized model, all built once per feeder.
+    """Constant matrices of the linearized model.
 
+    `build_matrices` builds them afresh on every call; the rest of the
+    package reads the copy `Network.matrices` keeps, built once per feeder.
     c0 is the head block of the branch-bus incidence (3N x 3), c the non-head
     block (3N x 3N, invertible for a tree), c_inv its inverse computed by
     forward substitution, and d_r / d_x the block-diagonal phase-coupled
@@ -406,9 +434,10 @@ def load_network(source) -> Network:
 def build_matrices(network: Network) -> NetworkMatrices:
     """Build the constant matrices of the linearized model.
 
-    The incidence blocks use +I3 where a line originates and -I3 where it
-    feeds; with the canonical ordering c is lower triangular, so its inverse
-    comes from forward substitution rather than dense inversion.
+    Every call builds them afresh; `Network.matrices` keeps one copy per
+    feeder.  The incidence blocks use +I3 where a line originates and -I3
+    where it feeds; with the canonical ordering c is lower triangular, so
+    its inverse comes from forward substitution rather than dense inversion.
     """
     n = network.n
     if n == 0:

@@ -20,7 +20,6 @@ from .errors import InfeasibleError, InternalError
 from .network import (
     PHASES,
     Network,
-    build_matrices,
     flows_from_injections,
     head_injection,
     lindistflow_voltages,
@@ -365,7 +364,7 @@ def evaluate_dispatch(network: Network, population: DerPopulation,
     Ids missing from `alpha` count as zero.  Returns per-unit arrays:
     line flows p/q, squared voltages v, and head draw p0/q0.
     """
-    m = build_matrices(network)
+    m = network.matrices
     avec = np.array([float(alpha.get(d.id, 0.0)) for d in population.ders])
     p_fix, q_fix = network.fixed_injections()
     p = p_fix + (population.scatter_p() @ avec if population.n else 0.0)

@@ -11,6 +11,12 @@ Equality rows are the per-phase balances written as C'P - p_der = p_fixed
 (then the same for reactive), optionally followed by one zero-net-volume
 coupling row.  Inequality rows are stacked as voltage upper, voltage lower,
 then E blocks of line-polygon rows, then E blocks of head-polygon rows.
+
+Both constraint matrices are assembled as canonical CSR (sorted indices,
+no stored zeros), block by block from the feeder's cached matrices, and
+go to the solver as they are.  A canonical CSR is exactly what
+`scipy.sparse.csr_array` makes of the same matrix written out dense, so
+the model the solver sees does not depend on how it was assembled.
 """
 
 from __future__ import annotations
@@ -19,14 +25,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
 
 from ._lp import solve_lp
 from .ders import Der, DerPopulation, gamma_price
 from .errors import DomainError, SchemaError, ShapeError, StateError, require_int, require_real
 from .network import (
     Network,
-    NetworkMatrices,
-    build_matrices,
     head_injection,
     lindistflow_voltages,
     phase_rows,
@@ -85,18 +90,23 @@ class TdopfParams:
 
 @dataclass
 class TdopfProblem:
-    """An assembled LP, kept with enough structure to read its duals back."""
+    """An assembled LP, kept with enough structure to read its duals back.
+
+    The constraint matrices are stored as canonical CSR in `a_eq_csr` and
+    `a_ub_csr`; the solver and the optimality check use only those.
+    `a_eq` and `a_ub` write them out as read-only dense arrays, built anew
+    on every access, for inspection and size reports.
+    """
 
     network: Network
-    matrices: NetworkMatrices
     population: DerPopulation
     params: TdopfParams
     clamp: dict
     zero_net_volume: tuple
     c: np.ndarray
-    a_eq: np.ndarray
+    a_eq_csr: sparse.csr_array
     b_eq: np.ndarray
-    a_ub: np.ndarray
+    a_ub_csr: sparse.csr_array
     b_ub: np.ndarray
     bounds: list
     beta: np.ndarray
@@ -104,6 +114,14 @@ class TdopfProblem:
     gamma: np.ndarray
     gp: np.ndarray
     gq: np.ndarray
+
+    @property
+    def a_eq(self) -> np.ndarray:
+        return _dense_view(self.a_eq_csr)
+
+    @property
+    def a_ub(self) -> np.ndarray:
+        return _dense_view(self.a_ub_csr)
 
     @property
     def n_der(self) -> int:
@@ -116,6 +134,19 @@ class TdopfProblem:
     @property
     def edges(self) -> int:
         return len(self.beta)
+
+
+def _dense_view(a: sparse.csr_array) -> np.ndarray:
+    dense = a.toarray()
+    dense.setflags(write=False)
+    return dense
+
+
+def _canonical(a) -> sparse.csr_array:
+    a = sparse.csr_array(a)
+    a.eliminate_zeros()
+    a.sort_indices()
+    return a
 
 
 @dataclass(frozen=True)
@@ -165,7 +196,7 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
         equality row in kW).
     """
     clamp = dict(clamp or {})
-    matrices = build_matrices(network)
+    matrices = network.matrices
     n = population.n
     n3 = 3 * network.n
     columns = population.column_of
@@ -182,52 +213,38 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     gq = population.scatter_q()
     p_f, q_f = network.fixed_injections()
     beta, delta, gamma = params.polygon()
-    edges = len(beta)
 
     n_var = n + 2 * n3
-    sl_a = slice(0, n)
     sl_p = slice(n, n + n3)
-    sl_q = slice(n + n3, n_var)
 
-    n_eq = 2 * n3 + (1 if zero_net_volume else 0)
-    a_eq = np.zeros((n_eq, n_var))
-    b_eq = np.zeros(n_eq)
-    a_eq[0:n3, sl_a] = -gp
-    a_eq[0:n3, sl_p] = matrices.c.T
-    b_eq[0:n3] = p_f
-    a_eq[n3:2 * n3, sl_a] = -gq
-    a_eq[n3:2 * n3, sl_q] = matrices.c.T
-    b_eq[n3:2 * n3] = q_f
+    c_t = sparse.csr_array(matrices.c.T)
+    eq_rows = [sparse.block_array([[sparse.csr_array(-gp), c_t, None],
+                                   [sparse.csr_array(-gq), None, c_t]])]
+    b_eq = np.concatenate([p_f, q_f])
     if zero_net_volume:
+        volume_row = np.zeros((1, n_var))
         for der_id in zero_net_volume:
             j = columns[der_id]
-            a_eq[-1, j] = population.ders[j].volume_kw
+            volume_row[0, j] = population.ders[j].volume_kw
+        eq_rows.append(sparse.csr_array(volume_row))
+        b_eq = np.append(b_eq, 0.0)
+    a_eq = _canonical(sparse.vstack(eq_rows))
 
-    mv_p = 2.0 * matrices.c_inv @ matrices.d_r
-    mv_q = 2.0 * matrices.c_inv @ matrices.d_x
+    # flow columns of the inequality rows: voltage box, line and head polygons
     s_line = np.concatenate([line.s_max for line in network.lines])
-
-    n_ub = 2 * n3 + edges * n3 + edges * 3
-    a_ub = np.zeros((n_ub, n_var))
-    b_ub = np.zeros(n_ub)
-    a_ub[0:n3, sl_p] = mv_p
-    a_ub[0:n3, sl_q] = mv_q
-    b_ub[0:n3] = network.v_max - network.v0
-    a_ub[n3:2 * n3, sl_p] = -mv_p
-    a_ub[n3:2 * n3, sl_q] = -mv_q
-    b_ub[n3:2 * n3] = network.v0 - network.v_min
-    eye = np.eye(n3)
-    for e in range(edges):
-        rows = slice(2 * n3 + e * n3, 2 * n3 + (e + 1) * n3)
-        a_ub[rows, sl_p] = beta[e] * eye
-        a_ub[rows, sl_q] = delta[e] * eye
-        b_ub[rows] = -gamma[e] * s_line
-    base = 2 * n3 + edges * n3
-    for e in range(edges):
-        rows = slice(base + 3 * e, base + 3 * (e + 1))
-        a_ub[rows, sl_p] = beta[e] * matrices.c0.T
-        a_ub[rows, sl_q] = delta[e] * matrices.c0.T
-        b_ub[rows] = -gamma[e] * network.s0_max
+    edge_pq = np.column_stack([beta, delta])  # row e: [beta_e, delta_e]
+    flow_rows = sparse.vstack([
+        network.voltage_block,
+        sparse.kron(edge_pq, sparse.eye_array(n3)),
+        sparse.kron(edge_pq, sparse.csr_array(matrices.c0.T)),
+    ])
+    a_ub = _canonical(sparse.hstack([sparse.csr_array((flow_rows.shape[0], n)), flow_rows]))
+    b_ub = np.concatenate([
+        np.full(n3, network.v_max - network.v0),
+        np.full(n3, network.v0 - network.v_min),
+        np.outer(-gamma, s_line).ravel(),
+        np.outer(-gamma, network.s0_max).ravel(),
+    ])
 
     scale = network.s_base_kva * params.delta_t_hours
     c = np.zeros(n_var)
@@ -249,9 +266,9 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     bounds += flow_bounds * 2
 
     return TdopfProblem(
-        network=network, matrices=matrices, population=population, params=params,
+        network=network, population=population, params=params,
         clamp=clamp, zero_net_volume=tuple(zero_net_volume),
-        c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=bounds,
+        c=c, a_eq_csr=a_eq, b_eq=b_eq, a_ub_csr=a_ub, b_ub=b_ub, bounds=bounds,
         beta=beta, delta=delta, gamma=gamma, gp=gp, gq=gq,
     )
 
@@ -274,14 +291,14 @@ def _diagnose_infeasibility(problem: TdopfProblem) -> tuple:
     Tries single families first, then pairs, then all three; if even the
     bare balance system cannot hold, says so.
     """
-    keep_all = np.ones(problem.a_ub.shape[0], dtype=bool)
+    keep_all = np.ones(problem.a_ub_csr.shape[0], dtype=bool)
     for size in (1, 2, 3):
         for combo in combinations(_ROW_FAMILIES, size):
             keep = keep_all.copy()
             for family in combo:
                 keep[_family_rows(problem, family)] = False
-            res = solve_lp(problem.c, problem.a_ub[keep], problem.b_ub[keep],
-                           problem.a_eq, problem.b_eq, problem.bounds)
+            res = solve_lp(problem.c, problem.a_ub_csr[keep], problem.b_ub[keep],
+                           problem.a_eq_csr, problem.b_eq, problem.bounds)
             if res.status == "optimal":
                 return combo
     return ("balance_rows",)
@@ -289,8 +306,8 @@ def _diagnose_infeasibility(problem: TdopfProblem) -> tuple:
 
 def solve(problem: TdopfProblem) -> TdopfSolution:
     """Solve the assembled LP and unpack primal values and signed duals."""
-    res = solve_lp(problem.c, problem.a_ub, problem.b_ub,
-                   problem.a_eq, problem.b_eq, problem.bounds)
+    res = solve_lp(problem.c, problem.a_ub_csr, problem.b_ub,
+                   problem.a_eq_csr, problem.b_eq, problem.bounds)
     if res.status != "optimal":
         hint = _diagnose_infeasibility(problem) if res.status == "infeasible" else ()
         return TdopfSolution(status=res.status, infeasibility_hint=hint,
@@ -301,8 +318,9 @@ def solve(problem: TdopfProblem) -> TdopfSolution:
     alpha = {der.id: float(x[j]) for j, der in enumerate(problem.population.ders)}
     p_flow = x[n:n + n3]
     q_flow = x[n + n3:n + 2 * n3]
-    v = lindistflow_voltages(problem.matrices, problem.network.v0, p_flow, q_flow)
-    p0, q0 = head_injection(problem.matrices, p_flow, q_flow)
+    m = problem.network.matrices
+    v = lindistflow_voltages(m, problem.network.v0, p_flow, q_flow)
+    p0, q0 = head_injection(m, p_flow, q_flow)
 
     lam = res.eq_marginals
     mu = -res.ub_marginals  # nonnegative in the identity convention
@@ -338,7 +356,8 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
     """
     if solution.status != "optimal":
         raise StateError("optimality conditions need an optimal solution")
-    net, m = problem.network, problem.matrices
+    net = problem.network
+    m = net.matrices
     params = problem.params
     n, n3, edges = problem.n_der, problem.n3, problem.edges
     x = np.concatenate([
@@ -347,9 +366,9 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
     ])
 
     out = {}
-    r_eq = problem.a_eq @ x - problem.b_eq
+    r_eq = problem.a_eq_csr @ x - problem.b_eq
     out["primal_eq"] = np.max(np.abs(r_eq)) / max(1.0, np.max(np.abs(problem.b_eq)))
-    slack = problem.b_ub - problem.a_ub @ x
+    slack = problem.b_ub - problem.a_ub_csr @ x
     out["primal_ineq"] = max(0.0, float(np.max(-slack))) / max(1.0, np.max(np.abs(problem.b_ub)))
 
     scale_kwh = net.s_base_kva * params.delta_t_hours

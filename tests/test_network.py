@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gridclear.network
+from gridclear.ders import DerPopulation, population_document
 from gridclear.errors import DomainError, SchemaError, ShapeError, TopologyError
 from gridclear.network import (
     PHASES,
@@ -13,9 +15,18 @@ from gridclear.network import (
     load_network,
     phase_coupled_impedance,
 )
-from gridclear.scenario import bundled_feeder
+from gridclear.scenario import bundled_feeder, load_scenario, run_scenario
 
-from conftest import R_OHM_MILE, X_OHM_MILE, bus_rec, feeder_doc, line_rec, random_tree_doc
+from conftest import (
+    R_OHM_MILE,
+    X_OHM_MILE,
+    bus_rec,
+    feeder_doc,
+    line_rec,
+    mc_ders,
+    mc_feeder_doc,
+    random_tree_doc,
+)
 
 Z_BASE_OHM = 5.764801  # 1000 * 2.401**2 / 1000, the fixture base impedance
 I3 = np.eye(3)
@@ -272,3 +283,31 @@ class TestFlowEquations:
             assert_allclose(m.c.T @ P, p, atol=1e-12)
             p0, _ = head_injection(m, P, Q)
             assert p0.sum() == pytest.approx(-p.sum(), abs=1e-12)
+
+
+class TestMatricesCache:
+    def test_built_once_per_interval(self, monkeypatch):
+        calls = []
+
+        def counting(net):
+            calls.append(net)
+            return build_matrices(net)
+
+        monkeypatch.setattr(gridclear.network, "build_matrices", counting)
+        net = load_network(mc_feeder_doc())
+        ders = population_document(DerPopulation.from_ders(mc_ders(9.0), net), net)
+        config = load_scenario({"schema": "gridclear-scenario/1",
+                                "feeder": mc_feeder_doc(), "ders": ders,
+                                "market": {"m_cents_per_kwh": 2.5, "lmp": 13.0},
+                                "case": "C"})
+        result = run_scenario(config)
+        # three bin solves, the ex-post solve and the dispatch check all ran
+        assert result.outcome.mc_candidates == ("b1", "o1")
+        assert len(calls) == 1 and calls[0] is result.network
+
+    def test_cached_matrices_equal_a_fresh_build(self):
+        net = load_network(bundled_feeder())
+        assert net.matrices is net.matrices
+        fresh = build_matrices(net)
+        for name in ("c0", "c", "c_inv", "d_r", "d_x"):
+            assert np.array_equal(getattr(net.matrices, name), getattr(fresh, name))

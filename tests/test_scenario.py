@@ -152,6 +152,8 @@ def generate_spec(**spec):
 BAD_CONFIGS = {
     "wrong-schema": {"schema": "nope"},
     "price-window-reversed": {"ders": generate_spec(price_lo=30, price_hi=5)},
+    "tail-window": {"ders": generate_spec(price_mean=20, price_sd=1,
+                                          price_lo=1000, price_hi=1001)},
     "count-as-string": {"ders": generate_spec(n_offers="3")},
     "negative-count": {"ders": generate_spec(n_bids=-2)},
     "charge-as-string": {"market": {"m_cents_per_kwh": "2.5", "lmp": 13.0}},

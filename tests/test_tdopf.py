@@ -327,3 +327,81 @@ class TestNetVolumeCoupling:
         assert total == pytest.approx(0.0, abs=1e-6)
         assert sol.alpha["b1"] == pytest.approx(1.0, abs=1e-7)
         assert sol.alpha["o1"] == pytest.approx(60.0 / 65.0, abs=1e-7)
+
+
+def dense_layout_oracle(net, pop, params, zero_net_volume=()):
+    """The constraint matrices written out dense, block by block, from a
+    fresh `build_matrices`: a_ub = voltage rows, line-polygon rows, head
+    rows; a_eq = real and reactive balances, then the volume row."""
+    m = build_matrices(net)
+    n, n3 = pop.n, 3 * net.n
+    beta, delta, _ = params.polygon()
+    edges = len(beta)
+    sl_a, sl_p, sl_q = slice(0, n), slice(n, n + n3), slice(n + n3, n + 2 * n3)
+    a_eq = np.zeros((2 * n3 + (1 if zero_net_volume else 0), n + 2 * n3))
+    a_eq[0:n3, sl_a] = -pop.scatter_p()
+    a_eq[0:n3, sl_p] = m.c.T
+    a_eq[n3:2 * n3, sl_a] = -pop.scatter_q()
+    a_eq[n3:2 * n3, sl_q] = m.c.T
+    for der_id in zero_net_volume:
+        j = pop.column_of[der_id]
+        a_eq[-1, j] = pop.ders[j].volume_kw
+    mv_p = 2.0 * m.c_inv @ m.d_r
+    mv_q = 2.0 * m.c_inv @ m.d_x
+    a_ub = np.zeros((2 * n3 + edges * n3 + edges * 3, n + 2 * n3))
+    a_ub[0:n3, sl_p], a_ub[0:n3, sl_q] = mv_p, mv_q
+    a_ub[n3:2 * n3, sl_p], a_ub[n3:2 * n3, sl_q] = -mv_p, -mv_q
+    for e in range(edges):
+        rows = slice(2 * n3 + e * n3, 2 * n3 + (e + 1) * n3)
+        a_ub[rows, sl_p] = beta[e] * np.eye(n3)
+        a_ub[rows, sl_q] = delta[e] * np.eye(n3)
+        head = slice(2 * n3 + edges * n3 + 3 * e, 2 * n3 + edges * n3 + 3 * (e + 1))
+        a_ub[head, sl_p] = beta[e] * m.c0.T
+        a_ub[head, sl_q] = delta[e] * m.c0.T
+    return a_ub, a_eq
+
+
+class TestSparseAssembly:
+    @pytest.fixture
+    def lateral(self):
+        # three-phase trunk with a single-phase (c) lateral off bus 1
+        doc = feeder_doc(
+            buses=[bus_rec(0), bus_rec(1, p_kw={"a": -40.0, "b": -30.0}),
+                   bus_rec(2, phases="c", p_kw={"c": -25.0}, q_kvar={"c": -8.0}),
+                   bus_rec(3, p_kw={"b": -20.0})],
+            lines=[line_rec(0, 1, scale=0.4), {
+                "from": 1, "to": 2, "phases": "c",
+                "r_ohm": [[0, 0, 0], [0, 0, 0], [0, 0, 0.7]],
+                "x_ohm": [[0, 0, 0], [0, 0, 0], [0, 0, 1.2]],
+                "s_max_kva": {"c": 800.0},
+            }, line_rec(1, 3, scale=0.3)],
+        )
+        net = load_network(doc)
+        pop = pop_of(net, [bid("b1", 2, 30.0, 14.0, phases=("c",)),
+                           bid("b2", 3, 25.0, 11.0, phases=("a", "b")),
+                           offer("o1", 3, 40.0, 9.0, phases=("a", "b", "c")),
+                           offer("o2", 1, 20.0, 7.0, phases=("b",))])
+        return net, pop
+
+    @pytest.mark.parametrize("clamp, zero_net_volume", [
+        (None, ()),
+        ({"o1": 0.0, "o2": 0.0}, ()),
+        ({"b2": 0.4}, ("b1", "o1", "o2")),
+    ], ids=["joint", "clamped", "volume-row"])
+    def test_matches_dense_layout(self, lateral, clamp, zero_net_volume):
+        net, pop = lateral
+        params = TdopfParams()
+        prob = assemble(net, pop, params, clamp=clamp, zero_net_volume=zero_net_volume)
+        a_ub, a_eq = dense_layout_oracle(net, pop, params, zero_net_volume)
+        assert np.array_equal(prob.a_ub, a_ub)
+        assert np.array_equal(prob.a_eq, a_eq)
+        for a in (prob.a_ub_csr, prob.a_eq_csr):
+            # canonical CSR is what csr_array makes of the dense matrix
+            assert a.has_canonical_format
+            assert np.all(a.data != 0)
+
+    def test_dense_views_are_read_only(self, lateral):
+        net, pop = lateral
+        prob = assemble(net, pop, TdopfParams())
+        with pytest.raises(ValueError):
+            prob.a_ub[0, 0] = 1.0
