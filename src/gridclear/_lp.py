@@ -38,6 +38,7 @@ class LpResult:
     lower_marginals: np.ndarray | None
     upper_marginals: np.ndarray | None
     message: str = ""
+    nit: int = 0  # solver iterations
 
 
 def solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds) -> LpResult:
@@ -46,10 +47,11 @@ def solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds) -> LpResult:
     res = linprog(c, A_ub=a_ub_s, b_ub=b_ub, A_eq=a_eq_s, b_eq=b_eq,
                   bounds=bounds, method="highs", options=_OPTIONS)
     status = _STATUS.get(res.status, "numerical")
+    nit = int(res.nit)
     if status != "optimal":
         return LpResult(status=status, x=None, fun=None, eq_marginals=None,
                         ub_marginals=None, lower_marginals=None,
-                        upper_marginals=None, message=str(res.message))
+                        upper_marginals=None, message=str(res.message), nit=nit)
     return LpResult(
         status=status,
         x=np.asarray(res.x),
@@ -59,4 +61,5 @@ def solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds) -> LpResult:
         lower_marginals=np.asarray(res.lower.marginals),
         upper_marginals=np.asarray(res.upper.marginals),
         message=str(res.message),
+        nit=nit,
     )

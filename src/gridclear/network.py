@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import DomainError, SchemaError, ShapeError, TopologyError
 
@@ -130,16 +130,30 @@ class Network:
     def voltage_block(self) -> sparse.csr_array:
         """Voltage-box rows of the acceptance LP over the flow columns [P, Q].
 
-        CSR of shape (2*3N, 2*3N): the upper-limit rows 2 c_inv [D_r D_x],
-        then the lower-limit rows, their negation.  The entries are those
-        of the dense products, computed once per feeder.
+        Canonical CSR of shape (2*3N, 2*3N): the upper-limit rows
+        2 c_inv [D_r D_x], then the lower-limit rows, their negation.  It
+        is the sparse product kron(2 T^-1, I3) @ [D_r D_x], with T^-1 read
+        off c_inv and the block diagonals gathered from d_r / d_x by index.
+        Each entry of that product is one nonzero term, +-2 times an
+        impedance entry, and doubling is exact, so the block equals the
+        dense product 2 c_inv [D_r D_x] bit for bit.  Built once per feeder.
         """
         m = self.matrices
-        mv_p = 2.0 * m.c_inv @ m.d_r
-        mv_q = 2.0 * m.c_inv @ m.d_x
-        upper = sparse.hstack([sparse.csr_array(mv_p), sparse.csr_array(mv_q)],
-                              format="csr")
-        return sparse.vstack([upper, -upper], format="csr")
+        n = self.n
+        lines = np.arange(n)
+        d_rx = np.stack([m.d_r.reshape(n, 3, n, 3)[lines, :, lines, :],
+                         m.d_x.reshape(n, 3, n, 3)[lines, :, lines, :]])
+        # entry (k, l, i, j) of d_rx sits at row 3l + i, column 3Nk + 3l + j
+        k, l, i, j = np.indices(d_rx.shape, dtype=np.int32)
+        blocks = sparse.csr_array(
+            (d_rx.ravel(), ((3 * l + i).ravel(), (3 * n * k + 3 * l + j).ravel())),
+            shape=(3 * n, 6 * n))
+        path = sparse.kron(sparse.csr_array(2.0 * m.c_inv[::3, ::3]), sparse.eye_array(3))
+        upper = path @ blocks
+        block = sparse.vstack([upper, -upper], format="csr")
+        block.eliminate_zeros()
+        block.sort_indices()
+        return block
 
     def label_of(self, index: int) -> str:
         return self.buses[index].label
@@ -189,9 +203,10 @@ class NetworkMatrices:
     `build_matrices` builds them afresh on every call; the rest of the
     package reads the copy `Network.matrices` keeps, built once per feeder.
     c0 is the head block of the branch-bus incidence (3N x 3), c the non-head
-    block (3N x 3N, invertible for a tree), c_inv its inverse computed by
-    forward substitution, and d_r / d_x the block-diagonal phase-coupled
-    impedance matrices.
+    block (3N x 3N, invertible for a tree), c_inv its inverse, and d_r / d_x
+    the block-diagonal phase-coupled impedance matrices.  The incidence
+    blocks and c_inv are the bus-level tree matrices repeated on each phase
+    (kron with I3); their entries are 0 and +-1, so they are exact.
     """
 
     c0: np.ndarray
@@ -435,28 +450,50 @@ def build_matrices(network: Network) -> NetworkMatrices:
     """Build the constant matrices of the linearized model.
 
     Every call builds them afresh; `Network.matrices` keeps one copy per
-    feeder.  The incidence blocks use +I3 where a line originates and -I3
-    where it feeds; with the canonical ordering c is lower triangular, so
-    its inverse comes from forward substitution rather than dense inversion.
+    feeder.  Each block comes from the tree itself.  The bus-level
+    incidence T (N x N) has -1 where line l feeds bus l + 1 and +1 where it
+    leaves a non-head parent; t0 (N x 1) marks the lines leaving the head.
+    With the canonical ordering T is lower triangular, so its inverse comes
+    from an N-wide forward substitution, and every phase is the same tree:
+    c = kron(T, I3), c0 = kron(t0, I3), c_inv = kron(T^-1, I3).  T and its
+    inverse hold only 0 and +-1 (T^-1[i, l] is -1 when line l lies on the
+    path from the head to bus i + 1), so all three are exact and equal,
+    zero signs included, to the same matrices filled in and inverted at
+    3N x 3N.  d_r / d_x are filled 3 x 3 block by block from each line's
+    coupled impedance.
     """
     n = network.n
     if n == 0:
         raise TopologyError("feeder has no non-head buses")
-    c0 = np.zeros((3 * n, 3))
-    c = np.zeros((3 * n, 3 * n))
+    t = np.zeros((n, n))
+    t0 = np.zeros((n, 1))
+    blocks = np.zeros((2, n, 3, n, 3))  # d_r, d_x with line and phase axes apart
     for line in network.lines:
         l = line.index
-        c[3 * l:3 * l + 3, 3 * (line.to_bus - 1):3 * line.to_bus] = -np.eye(3)
+        t[l, line.to_bus - 1] = -1.0
         if line.from_bus == 0:
-            c0[3 * l:3 * l + 3, :] = np.eye(3)
+            t0[l, 0] = 1.0
         else:
-            c[3 * l:3 * l + 3, 3 * (line.from_bus - 1):3 * line.from_bus] = np.eye(3)
-    c_inv = solve_triangular(c, np.eye(3 * n), lower=True)
-    coupled = [phase_coupled_impedance(line.r, line.x) for line in network.lines]
-    d_r = block_diag(*[rb for rb, _ in coupled])
-    d_x = block_diag(*[xb for _, xb in coupled])
-    return NetworkMatrices(c0=_frozen(c0), c=_frozen(c), c_inv=_frozen(c_inv),
+            t[l, line.from_bus - 1] = 1.0
+        blocks[0, l, :, l, :], blocks[1, l, :, l, :] = phase_coupled_impedance(line.r, line.x)
+    t_inv = solve_triangular(t, np.eye(n), lower=True)
+    d_r, d_x = blocks.reshape(2, 3 * n, 3 * n)
+    return NetworkMatrices(c0=_frozen(_kron_i3(t0)), c=_frozen(_kron_i3(t)),
+                           c_inv=_frozen(_kron_i3(t_inv)),
                            d_r=_frozen(d_r), d_x=_frozen(d_x))
+
+
+def _kron_i3(t: np.ndarray) -> np.ndarray:
+    """np.kron(t, np.eye(3)), entries and zero signs alike, filled by strides.
+
+    The off-diagonal phase entries are t * 0.0, which carries the sign of t
+    as np.kron's products do.
+    """
+    out = np.empty((t.shape[0], 3, t.shape[1], 3))
+    out[...] = (t * 0.0)[:, None, :, None]
+    for k in range(3):
+        out[:, k, :, k] = t
+    return out.reshape(3 * t.shape[0], 3 * t.shape[1])
 
 
 def voltage_rows(network: Network, v) -> list[dict]:

@@ -11,12 +11,14 @@ scheduled interchange untouched.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ders import Der, DerPopulation
-from .errors import InfeasibleError, InternalError
+from .errors import DomainError, InfeasibleError, InternalError, require_real
 from .network import (
     PHASES,
     Network,
@@ -24,7 +26,17 @@ from .network import (
     head_injection,
     lindistflow_voltages,
 )
-from .tdopf import TdopfParams, TdopfSolution, assemble, qualification_price, solve
+from .tdopf import (
+    TdopfParams,
+    TdopfProblem,
+    TdopfSolution,
+    assemble,
+    clamped,
+    qualification_price,
+    solve,
+)
+
+logger = logging.getLogger("gridclear")
 
 # below this an acceptance fraction counts as zero
 ALPHA_TOL = 1e-6
@@ -38,11 +50,14 @@ class Bins:
     alpha_a / alpha_b / alpha_c map every DER id to its acceptance in the
     bids-only, offers-only, and joint bins.  alpha_mc holds the joint-bin
     acceptance of each DER whose value moved relative to its side bin.
+    problem is the interval's one assembled LP, the joint bin's; the side
+    bins and the ex-post LP are `clamped` from it.
     """
 
     network: Network
     population: DerPopulation
     params: TdopfParams
+    problem: TdopfProblem
     sol_a: TdopfSolution
     sol_b: TdopfSolution
     sol_c: TdopfSolution
@@ -87,6 +102,14 @@ class AffineLmp:
     slope: float
     base_load_kw: float = 0.0
 
+    def __post_init__(self):
+        require_real("market.lmp.intercept", self.intercept)
+        require_real("market.lmp.slope", self.slope)
+        require_real("market.lmp.base_load_kw", self.base_load_kw)
+        if self.slope < 0:
+            raise DomainError(f"market.lmp.slope must be >= 0 (an increasing "
+                              f"supply line), got {self.slope!r}")
+
 
 @dataclass(frozen=True)
 class WpmOutcome:
@@ -121,15 +144,17 @@ def _require_optimal(solution: TdopfSolution, tag: str) -> TdopfSolution:
 
 def build_bins(network: Network, population: DerPopulation,
                params: TdopfParams) -> Bins:
-    """Run the bids-only, offers-only, and joint acceptance solves."""
+    """Run the bids-only, offers-only, and joint acceptance solves.
+
+    The joint LP is assembled once; each side bin clamps the other side's
+    DERs to zero in it.
+    """
+    joint = assemble(network, population, params)
     offers_out = {d.id: 0.0 for d in population.ders if d.side == "offer"}
     bids_out = {d.id: 0.0 for d in population.ders if d.side == "bid"}
-    sol_a = _require_optimal(
-        solve(assemble(network, population, params, clamp=offers_out)), "bids-only")
-    sol_b = _require_optimal(
-        solve(assemble(network, population, params, clamp=bids_out)), "offers-only")
-    sol_c = _require_optimal(
-        solve(assemble(network, population, params)), "joint")
+    sol_a = _require_optimal(solve(clamped(joint, offers_out)), "bids-only")
+    sol_b = _require_optimal(solve(clamped(joint, bids_out)), "offers-only")
+    sol_c = _require_optimal(solve(joint), "joint")
 
     alpha_mc = {}
     for d in population.ders:
@@ -137,7 +162,7 @@ def build_bins(network: Network, population: DerPopulation,
         if abs(sol_c.alpha[d.id] - side[d.id]) > ALPHA_TOL:
             alpha_mc[d.id] = sol_c.alpha[d.id]
     return Bins(network=network, population=population, params=params,
-                sol_a=sol_a, sol_b=sol_b, sol_c=sol_c,
+                problem=joint, sol_a=sol_a, sol_b=sol_b, sol_c=sol_c,
                 alpha_a=dict(sol_a.alpha), alpha_b=dict(sol_b.alpha),
                 alpha_c=dict(sol_c.alpha), alpha_mc=alpha_mc)
 
@@ -238,7 +263,8 @@ def resolve_lmp(quotes, lmp_source) -> float:
     where D is the step net-demand curve of the quotes on top of the base
     load.  D is nonincreasing and the supply side increasing, so either one
     constant piece of D contains the fixed point or the curves cross on a
-    vertical segment at a quote price.
+    vertical segment at a quote price.  Raises DomainError when the supply
+    line gives a price that is not finite.
     """
     if not isinstance(lmp_source, AffineLmp):
         return float(lmp_source)
@@ -246,9 +272,16 @@ def resolve_lmp(quotes, lmp_source) -> float:
     if b == 0.0:
         return float(a)
 
+    def supply(demand_kw: float) -> float:
+        pi = a + b * demand_kw
+        if not math.isfinite(pi):
+            raise DomainError(f"affine lmp model gives price {pi} at net demand "
+                              f"{demand_kw} kW")
+        return pi
+
     prices = sorted({q.price_cents_per_kwh for q in quotes})
     if not prices:
-        return float(a + b * base)
+        return float(supply(base))
 
     # probe each open piece of the step curve
     edges = [prices[0] - 1.0] + prices + [prices[-1] + 1.0]
@@ -257,15 +290,15 @@ def resolve_lmp(quotes, lmp_source) -> float:
         pieces.append((lo, hi, 0.5 * (lo + hi)))
     pieces.append((prices[-1], np.inf, edges[-1]))
     for lo, hi, probe in pieces:
-        pi = a + b * _net_demand(quotes, base, probe)
+        pi = supply(_net_demand(quotes, base, probe))
         if lo < pi < hi:
             return float(pi)
 
     # otherwise the supply line pierces a vertical segment of the demand step
     eps = 1e-6
     for bp in prices:
-        above = a + b * _net_demand(quotes, base, bp + eps)
-        below = a + b * _net_demand(quotes, base, bp - eps)
+        above = supply(_net_demand(quotes, base, bp + eps))
+        below = supply(_net_demand(quotes, base, bp - eps))
         if above <= bp + PRICE_TOL and bp <= below + PRICE_TOL:
             return float(bp)
     raise InternalError("no intersection of supply and net demand found")
@@ -341,8 +374,7 @@ def expost_rectify(bins: Bins, outcome: WpmOutcome) -> WpmOutcome:
         return replace(outcome, mc_candidates=(), cleared_mc={},
                        final_alpha=clamp, rectification="applied")
 
-    sol = solve(assemble(bins.network, pop, params, clamp=clamp,
-                         zero_net_volume=viable))
+    sol = solve(clamped(bins.problem, clamp, viable))
     if sol.status == "optimal":
         final_alpha = dict(sol.alpha)
         cleared_mc = {i: final_alpha[i] for i in viable
@@ -351,6 +383,9 @@ def expost_rectify(bins: Bins, outcome: WpmOutcome) -> WpmOutcome:
                        final_alpha=final_alpha, rectification="applied")
 
     # conservative fallback: drop the block rather than dispatch unchecked
+    logger.warning("ex-post LP for %d viable withheld DERs ended %s (hint: %s); "
+                   "dropping the block", len(viable), sol.status,
+                   ", ".join(sol.infeasibility_hint) or "none")
     final_alpha = dict(clamp)
     final_alpha.update({i: 0.0 for i in viable})
     return replace(outcome, mc_candidates=viable, cleared_mc={},

@@ -25,7 +25,7 @@ from .ders import (
     load_ders,
     population_document,
 )
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, require_real
 from .network import FEEDER_SCHEMA, Network, load_network, voltage_rows
 from .pipeline import (
     AffineLmp,
@@ -149,10 +149,9 @@ def load_scenario(source, base_dir=None) -> ScenarioConfig:
             lmp_source = AffineLmp(**lmp_entry)
         except TypeError as exc:
             raise ConfigError(f"bad lmp model: {exc}") from None
-    elif isinstance(lmp_entry, (int, float)):
-        lmp_source = float(lmp_entry)
     else:
-        raise ConfigError("market.lmp must be a number or an affine model object")
+        require_real("market.lmp", lmp_entry)
+        lmp_source = float(lmp_entry)
 
     case = doc.get("case", "C")
     if case not in CASES:

@@ -17,11 +17,17 @@ no stored zeros), block by block from the feeder's cached matrices, and
 go to the solver as they are.  A canonical CSR is exactly what
 `scipy.sparse.csr_array` makes of the same matrix written out dense, so
 the model the solver sees does not depend on how it was assembled.
+
+An interval assembles its LP once.  The LPs of one interval differ only in
+which DER columns are fixed, so the bins are bound changes: `clamped`
+takes the joint LP and fixes DER bounds, and for the ex-post LP appends
+the zero-net-volume row.  `assemble` with a clamp is the same two steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +43,8 @@ from .network import (
     phase_rows,
     voltage_rows,
 )
+
+logger = logging.getLogger("gridclear")
 
 
 def polygon_coefficients(edges: int):
@@ -181,11 +189,15 @@ class TdopfSolution:
     objective_cents: float | None = None
     infeasibility_hint: tuple = ()
     message: str = ""
+    iterations: int = 0  # solver iterations; not part of solution_document
 
 
 def assemble(network: Network, population: DerPopulation, params: TdopfParams,
              clamp: dict | None = None, zero_net_volume: tuple = ()) -> TdopfProblem:
     """Build the acceptance LP for one interval.
+
+    The unclamped LP is built, then `clamped` fixes the clamped DERs and
+    appends the volume row.
 
     Parameters
     ----------
@@ -195,40 +207,19 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
         DER ids whose signed accepted volumes must sum to zero (one extra
         equality row in kW).
     """
-    clamp = dict(clamp or {})
     matrices = network.matrices
     n = population.n
     n3 = 3 * network.n
-    columns = population.column_of
-    for der_id, value in clamp.items():
-        if der_id not in columns:
-            raise SchemaError(f"clamp references unknown DER {der_id!r}")
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"clamp for {der_id!r} outside [0, 1]: {value}")
-    for der_id in zero_net_volume:
-        if der_id not in columns:
-            raise SchemaError(f"volume coupling references unknown DER {der_id!r}")
 
     gp = population.scatter_p()
     gq = population.scatter_q()
     p_f, q_f = network.fixed_injections()
     beta, delta, gamma = params.polygon()
 
-    n_var = n + 2 * n3
-    sl_p = slice(n, n + n3)
-
     c_t = sparse.csr_array(matrices.c.T)
-    eq_rows = [sparse.block_array([[sparse.csr_array(-gp), c_t, None],
-                                   [sparse.csr_array(-gq), None, c_t]])]
+    a_eq = _canonical(sparse.block_array([[sparse.csr_array(-gp), c_t, None],
+                                          [sparse.csr_array(-gq), None, c_t]]))
     b_eq = np.concatenate([p_f, q_f])
-    if zero_net_volume:
-        volume_row = np.zeros((1, n_var))
-        for der_id in zero_net_volume:
-            j = columns[der_id]
-            volume_row[0, j] = population.ders[j].volume_kw
-        eq_rows.append(sparse.csr_array(volume_row))
-        b_eq = np.append(b_eq, 0.0)
-    a_eq = _canonical(sparse.vstack(eq_rows))
 
     # flow columns of the inequality rows: voltage box, line and head polygons
     s_line = np.concatenate([line.s_max for line in network.lines])
@@ -247,30 +238,61 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     ])
 
     scale = network.s_base_kva * params.delta_t_hours
-    c = np.zeros(n_var)
+    c = np.zeros(n + 2 * n3)
     for j, der in enumerate(population.ders):
         c[j] = gamma_price(der, params.big_m_cents) * der.volume_kw * params.delta_t_hours
-    c[sl_p] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))
+    c[n:n + n3] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))
 
-    bounds = []
-    for der in population.ders:
-        if der.id in clamp:
-            v = float(clamp[der.id])
-            bounds.append((v, v))
-        else:
-            bounds.append((0.0, 1.0))
     # flows on phases a line does not carry are pinned at zero
     flow_bounds = [(0.0, 0.0)] * n3
     for _, _, row in network.line_rows():
         flow_bounds[row] = (None, None)
-    bounds += flow_bounds * 2
 
-    return TdopfProblem(
+    joint = TdopfProblem(
         network=network, population=population, params=params,
-        clamp=clamp, zero_net_volume=tuple(zero_net_volume),
-        c=c, a_eq_csr=a_eq, b_eq=b_eq, a_ub_csr=a_ub, b_ub=b_ub, bounds=bounds,
+        clamp={}, zero_net_volume=(),
+        c=c, a_eq_csr=a_eq, b_eq=b_eq, a_ub_csr=a_ub, b_ub=b_ub,
+        bounds=[(0.0, 1.0)] * n + flow_bounds * 2,
         beta=beta, delta=delta, gamma=gamma, gp=gp, gq=gq,
     )
+    return clamped(joint, clamp or {}, zero_net_volume)
+
+
+def clamped(problem: TdopfProblem, clamp: dict, zero_net_volume: tuple = ()) -> TdopfProblem:
+    """The LP `problem` with DERs fixed by `clamp` and an optional volume row.
+
+    `problem` must carry no volume row; its own clamps are replaced, not
+    added to.  Only the DER bounds change, plus, when `zero_net_volume`
+    names DERs, one equality row making their signed accepted volumes sum
+    to zero.  Every other array is shared with `problem`, so the bins and
+    the ex-post LP of an interval are bound changes on one assembly.
+    """
+    if problem.zero_net_volume:
+        raise StateError("clamp an LP that carries no volume row")
+    pop = problem.population
+    columns = pop.column_of
+    clamp = dict(clamp)
+    for der_id, value in clamp.items():
+        if der_id not in columns:
+            raise SchemaError(f"clamp references unknown DER {der_id!r}")
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"clamp for {der_id!r} outside [0, 1]: {value}")
+    for der_id in zero_net_volume:
+        if der_id not in columns:
+            raise SchemaError(f"volume coupling references unknown DER {der_id!r}")
+
+    bounds = [(float(clamp[d.id]),) * 2 if d.id in clamp else (0.0, 1.0)
+              for d in pop.ders]
+    a_eq, b_eq = problem.a_eq_csr, problem.b_eq
+    if zero_net_volume:
+        volume_row = np.zeros((1, a_eq.shape[1]))
+        for der_id in zero_net_volume:
+            j = columns[der_id]
+            volume_row[0, j] = pop.ders[j].volume_kw
+        a_eq = _canonical(sparse.vstack([a_eq, sparse.csr_array(volume_row)]))
+        b_eq = np.append(b_eq, 0.0)
+    return replace(problem, clamp=clamp, zero_net_volume=tuple(zero_net_volume),
+                   a_eq_csr=a_eq, b_eq=b_eq, bounds=bounds + problem.bounds[pop.n:])
 
 
 _ROW_FAMILIES = ("voltage_box", "line_polygon", "substation_polygon")
@@ -299,6 +321,8 @@ def _diagnose_infeasibility(problem: TdopfProblem) -> tuple:
                 keep[_family_rows(problem, family)] = False
             res = solve_lp(problem.c, problem.a_ub_csr[keep], problem.b_ub[keep],
                            problem.a_eq_csr, problem.b_eq, problem.bounds)
+            logger.debug("infeasibility probe without %s: %s",
+                         ", ".join(combo), res.status)
             if res.status == "optimal":
                 return combo
     return ("balance_rows",)
@@ -311,7 +335,7 @@ def solve(problem: TdopfProblem) -> TdopfSolution:
     if res.status != "optimal":
         hint = _diagnose_infeasibility(problem) if res.status == "infeasible" else ()
         return TdopfSolution(status=res.status, infeasibility_hint=hint,
-                             message=res.message)
+                             message=res.message, iterations=res.nit)
 
     n, n3, edges = problem.n_der, problem.n3, problem.edges
     x = res.x
@@ -342,6 +366,7 @@ def solve(problem: TdopfProblem) -> TdopfSolution:
         z_q=lower[n + n3:n + 2 * n3] + upper[n + n3:n + 2 * n3],
         objective_cents=res.fun,
         message=res.message,
+        iterations=res.nit,
     )
 
 

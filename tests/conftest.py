@@ -95,6 +95,19 @@ def star3_doc():
     )
 
 
+def lateral_feeder_doc():
+    """Three-phase trunk head-1-3 with a phase-b lateral 1-2."""
+    lateral = {"from": 1, "to": 2, "phases": "b",
+               "r_ohm": [[0, 0, 0], [0, 0.3, 0], [0, 0, 0]],
+               "x_ohm": [[0, 0, 0], [0, 0.6, 0], [0, 0, 0]],
+               "s_max_kva": {"b": 500.0}}
+    return feeder_doc(
+        buses=[bus_rec(0), bus_rec(1, p_kw={"a": -20.0, "c": -10.0}),
+               bus_rec(2, phases="b", p_kw={"b": -15.0}), bus_rec(3)],
+        lines=[line_rec(0, 1, scale=0.2), lateral, line_rec(1, 3, scale=0.2)],
+    )
+
+
 def mc_feeder_doc():
     # single-phase path head-1-2; no fixed load; DERs live at bus 2
     line = {

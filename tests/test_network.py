@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import block_diag, solve_triangular
 
 import gridclear.network
 from gridclear.ders import DerPopulation, population_document
@@ -22,6 +23,7 @@ from conftest import (
     X_OHM_MILE,
     bus_rec,
     feeder_doc,
+    lateral_feeder_doc,
     line_rec,
     mc_ders,
     mc_feeder_doc,
@@ -311,3 +313,41 @@ class TestMatricesCache:
         fresh = build_matrices(net)
         for name in ("c0", "c", "c_inv", "d_r", "d_x"):
             assert np.array_equal(getattr(net.matrices, name), getattr(fresh, name))
+
+
+def dense_matrices_oracle(net):
+    """The network matrices built at 3N x 3N: +-I3 incidence blocks, a
+    3N-wide forward substitution, block_diag, and the dense voltage rows
+    2 c_inv [D_r D_x] stacked over their negation."""
+    n = net.n
+    c0 = np.zeros((3 * n, 3))
+    c = np.zeros((3 * n, 3 * n))
+    for line in net.lines:
+        l = line.index
+        c[3 * l:3 * l + 3, 3 * (line.to_bus - 1):3 * line.to_bus] = -np.eye(3)
+        if line.from_bus == 0:
+            c0[3 * l:3 * l + 3, :] = np.eye(3)
+        else:
+            c[3 * l:3 * l + 3, 3 * (line.from_bus - 1):3 * line.from_bus] = np.eye(3)
+    c_inv = solve_triangular(c, np.eye(3 * n), lower=True)
+    coupled = [phase_coupled_impedance(line.r, line.x) for line in net.lines]
+    d_r = block_diag(*[rb for rb, _ in coupled])
+    d_x = block_diag(*[xb for _, xb in coupled])
+    upper = np.hstack([2.0 * c_inv @ d_r, 2.0 * c_inv @ d_x])
+    dense = {"c0": c0, "c": c, "c_inv": c_inv, "d_r": d_r, "d_x": d_x}
+    return dense, np.vstack([upper, -upper])
+
+
+@pytest.mark.parametrize("doc", [bundled_feeder, lateral_feeder_doc],
+                         ids=["bundled-123", "phase-b-lateral"])
+def test_structural_matrices_match_dense_oracle(doc):
+    net = load_network(doc())
+    dense, voltage = dense_matrices_oracle(net)
+    built = build_matrices(net)
+    for name, expected in dense.items():
+        got = getattr(built, name)
+        assert np.array_equal(got, expected), name
+        assert np.array_equal(np.signbit(got), np.signbit(expected)), name
+    block = net.voltage_block
+    assert np.array_equal(block.toarray(), voltage)
+    assert block.has_canonical_format and np.all(block.data != 0)

@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
-from gridclear.ders import Der, DerPopulation, reactive_ratio
+import gridclear.pipeline
+from gridclear.ders import Der, DerPopulation, population_document, reactive_ratio
 from gridclear.errors import StateError
 from gridclear.network import load_network
 from gridclear.pipeline import (
@@ -18,7 +21,8 @@ from gridclear.pipeline import (
     resolve_lmp,
     wpm_clear,
 )
-from gridclear.tdopf import TdopfParams
+from gridclear.scenario import load_scenario, run_scenario
+from gridclear.tdopf import TdopfParams, TdopfSolution, assemble
 
 from conftest import bus_rec, feeder_doc, mc_ders, mc_feeder_doc
 
@@ -187,6 +191,36 @@ class TestRectification:
         kinds = {v["kind"] for v in report}
         assert "voltage_low" in kinds
         assert any(v["bus"] == "2" for v in report)
+
+    def test_infeasible_block_is_dropped_with_a_warning(self, monkeypatch, caplog):
+        net, pop, params, bins, outcome = self.setup_case(offer_price=9.0)
+        monkeypatch.setattr(gridclear.pipeline, "solve", lambda problem: TdopfSolution(
+            status="infeasible", infeasibility_hint=("voltage_box",)))
+        with caplog.at_level(logging.WARNING, logger="gridclear"):
+            final = expost_rectify(bins, outcome)
+        assert final.rectification == "infeasible_fallback"
+        assert final.mc_candidates == ("b1", "o1") and final.cleared_mc == {}
+        assert final.final_alpha == {"b1": 0.0, "o1": 0.0}
+        assert "2 viable withheld DERs ended infeasible (hint: voltage_box)" in caplog.text
+
+    def test_one_assembly_per_interval(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(gridclear.pipeline, "assemble", counting)
+        net = load_network(mc_feeder_doc())
+        ders = population_document(mc_population(net, offer_price=9.0), net)
+        result = run_scenario(load_scenario({
+            "schema": "gridclear-scenario/1", "feeder": mc_feeder_doc(),
+            "ders": ders, "market": {"m_cents_per_kwh": 2.5, "lmp": 13.0},
+            "case": "C"}))
+        # three bins and the ex-post LP all ran, on one assembly
+        assert result.outcome.rectification == "applied"
+        assert result.outcome.cleared_mc
+        assert calls == [{}]
 
     def test_empty_mc_leaves_outcome_alone(self, two_bus_doc):
         net = load_network(two_bus_doc)

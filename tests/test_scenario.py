@@ -12,7 +12,7 @@ from gridclear.scenario import (
     run_scenario,
 )
 
-from conftest import bus_rec, feeder_doc, line_rec, mc_feeder_doc
+from conftest import lateral_feeder_doc, mc_feeder_doc
 
 
 def ders_doc(offer_price=9.0, include_offer=True):
@@ -159,20 +159,15 @@ BAD_CONFIGS = {
     "charge-as-string": {"market": {"m_cents_per_kwh": "2.5", "lmp": 13.0}},
     "zero-interval": {"market": {"m_cents_per_kwh": 2.5, "delta_t_hours": 0,
                                  "lmp": 13.0}},
+    "lmp-nan": {"market": {"m_cents_per_kwh": 2.5, "lmp": float("nan")}},
+    "lmp-bool": {"market": {"m_cents_per_kwh": 2.5, "lmp": True}},
+    "intercept-as-string": {"market": {"lmp": {"intercept": "8", "slope": 0.004}}},
+    "slope-as-string": {"market": {"lmp": {"intercept": 8.0, "slope": "0.004"}}},
+    "slope-nan": {"market": {"lmp": {"intercept": 8.0, "slope": float("nan")}}},
+    "price-overflow": {"market": {"lmp": {"intercept": 8.0, "slope": 1e308,
+                                          "base_load_kw": 1e10}}},
+    "negative-slope": {"market": {"lmp": {"intercept": 8.0, "slope": -0.004}}},
 }
-
-
-def lateral_feeder_doc():
-    """Three-phase trunk head-1-3 with a phase-b lateral 1-2."""
-    lateral = {"from": 1, "to": 2, "phases": "b",
-               "r_ohm": [[0, 0, 0], [0, 0.3, 0], [0, 0, 0]],
-               "x_ohm": [[0, 0, 0], [0, 0.6, 0], [0, 0, 0]],
-               "s_max_kva": {"b": 500.0}}
-    return feeder_doc(
-        buses=[bus_rec(0), bus_rec(1, p_kw={"a": -20.0, "c": -10.0}),
-               bus_rec(2, phases="b", p_kw={"b": -15.0}), bus_rec(3)],
-        lines=[line_rec(0, 1, scale=0.2), lateral, line_rec(1, 3, scale=0.2)],
-    )
 
 
 def test_exports_list_only_carried_phases(tmp_path):

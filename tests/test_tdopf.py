@@ -1,19 +1,23 @@
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gridclear.ders import Der, DerPopulation, reactive_ratio
+from gridclear.ders import Der, DerPopulation, GenerationSpec, generate_population, reactive_ratio
 from gridclear.errors import DomainError, SchemaError, StateError
 from gridclear.network import build_matrices, load_network
 from gridclear.tdopf import (
     TdopfParams,
     assemble,
+    clamped,
     kkt_residuals,
     polygon_coefficients,
     qualification_price,
     solution_document,
     solve,
 )
+from gridclear.scenario import bundled_feeder
 
 from conftest import bus_rec, feeder_doc, line_rec
 
@@ -159,6 +163,13 @@ class TestSolveBasics:
         assert sol.p_flow.shape == (3,)
         assert sol.p_flow[0] == pytest.approx(0.1, abs=1e-9)
 
+    def test_iterations_kept_out_of_the_document(self):
+        net = load_network(bundled_feeder())
+        pop = generate_population(GenerationSpec(n_bids=30, n_offers=25, seed=1), net)
+        sol = solve(assemble(net, pop, TdopfParams()))
+        assert sol.status == "optimal" and sol.iterations > 0
+        assert "iterations" not in solution_document(sol, net, pop)
+
     def test_solution_document_shape(self, two_bus_net):
         pop = pop_of(two_bus_net, [bid("b1", 1, 20.0, 12.0)])
         sol = solve(assemble(two_bus_net, pop, TdopfParams()))
@@ -281,16 +292,20 @@ class TestLineCongestion:
         for val in res.values():
             assert val <= 1e-6
 
-    def test_overload_infeasible_with_hint(self):
+    def test_overload_infeasible_with_hint(self, caplog):
         doc = feeder_doc(
             buses=[bus_rec(0), bus_rec(1, p_kw={"a": -150.0})],
             lines=[line_rec(0, 1, s_max_kva=105.0)],
         )
         net = load_network(doc)
-        sol = solve(assemble(net, pop_of(net, []), TdopfParams()))
+        with caplog.at_level(logging.DEBUG, logger="gridclear"):
+            sol = solve(assemble(net, pop_of(net, []), TdopfParams()))
         assert sol.status == "infeasible"
         assert sol.infeasibility_hint == ("line_polygon",)
         assert sol.alpha is None
+        # one debug line per re-solve: voltage_box first, then line_polygon
+        assert caplog.messages == ["infeasibility probe without voltage_box: infeasible",
+                                   "infeasibility probe without line_polygon: optimal"]
 
 
 class TestAbsentPhases:
@@ -405,3 +420,43 @@ class TestSparseAssembly:
         prob = assemble(net, pop, TdopfParams())
         with pytest.raises(ValueError):
             prob.a_ub[0, 0] = 1.0
+
+    @pytest.mark.parametrize("clamp, zero_net_volume", [
+        ({"o1": 0.0, "o2": 0.0}, ()),
+        ({"b1": 0.0, "b2": 0.0}, ()),
+        ({"b2": 0.4, "o2": 0.0}, ("b1", "o1")),
+    ], ids=["bids-only", "offers-only", "ex-post"])
+    def test_clamped_matches_fresh_assembly(self, lateral, clamp, zero_net_volume):
+        net, pop = lateral
+        params = TdopfParams()
+        joint = assemble(net, pop, params)
+        # derived from another bin's LP: its clamps are replaced, not kept
+        derived = clamped(clamped(joint, {"b1": 1.0, "o1": 0.5}), clamp, zero_net_volume)
+        fresh = assemble(net, pop, params, clamp=clamp, zero_net_volume=zero_net_volume)
+        assert np.array_equal(derived.c, fresh.c)
+        for name in ("a_eq_csr", "a_ub_csr"):
+            a, b = getattr(derived, name), getattr(fresh, name)
+            assert a.shape == b.shape
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a, part), getattr(b, part))
+                assert getattr(a, part).dtype == getattr(b, part).dtype
+        assert np.array_equal(derived.b_eq, fresh.b_eq)
+        assert np.array_equal(derived.b_ub, fresh.b_ub)
+        assert derived.bounds == fresh.bounds
+        assert derived.bounds[:pop.n] == [(clamp[d.id],) * 2 if d.id in clamp
+                                          else (0.0, 1.0) for d in pop.ders]
+        # only the bounds and the volume row differ from the joint LP
+        assert derived.a_ub_csr is joint.a_ub_csr and derived.c is joint.c
+        assert derived.bounds[pop.n:] == joint.bounds[pop.n:]
+
+    def test_clamped_checks_its_inputs(self, lateral):
+        net, pop = lateral
+        joint = assemble(net, pop, TdopfParams())
+        with pytest.raises(SchemaError):
+            clamped(joint, {"zz": 0.0})
+        with pytest.raises(DomainError):
+            clamped(joint, {"b1": 1.5})
+        with pytest.raises(SchemaError):
+            clamped(joint, {}, ("b1", "zz"))
+        with pytest.raises(StateError):
+            clamped(clamped(joint, {}, ("b1", "o1")), {"b2": 0.0})
