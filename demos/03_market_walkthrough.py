@@ -67,7 +67,7 @@ def main():
     print("--- acceptance solves (bids alone / offers alone / jointly) ---")
     bins = build_bins(net, pop, params)
     for d in pop.ders:
-        print(f"  {d.id}: alone {bins.alpha_a[d.id] if d.side == 'bid' else bins.alpha_b[d.id]:.3f}"
+        print(f"  {d.id}: alone {bins.own_bin(d).alpha[d.id]:.3f}"
               f"  jointly {bins.alpha_c[d.id]:.3f}")
     withheld = mc_ids(bins)
     print(f"mutually contingent, withheld from the exchange: {sorted(withheld)}")

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .ders import GenerationSpec, generate_population, load_ders, population_document
+from .ders import GenerationSpec, generate_population, population_document
 from .errors import (
     ConfigError,
     DomainError,
@@ -30,6 +30,7 @@ from .scenario import (
     OUTCOME_SCHEMA,
     _write_json,
     emit_plot_data,
+    load_population,
     load_scenario,
     run_scenario,
 )
@@ -77,10 +78,7 @@ def _cmd_generate_ders(args) -> int:
 def _cmd_check(args) -> int:
     config = load_scenario(args.config)
     network = load_network(config.feeder)
-    if isinstance(config.ders, GenerationSpec):
-        population = generate_population(config.ders, network)
-    else:
-        population = load_ders(config.ders, network)
+    population = load_population(config, network)
     try:
         with open(args.alpha) as fh:
             doc = json.load(fh)

@@ -54,6 +54,8 @@ class Der:
     def __post_init__(self):
         if self.side not in SIDES:
             raise DomainError(f"DER {self.id}: side must be one of {SIDES}, got {self.side!r}")
+        require_real(f"DER {self.id}: volume_kw", self.volume_kw)
+        require_real(f"DER {self.id}: price", self.price)
         if self.volume_kw == 0.0:
             raise DomainError(f"DER {self.id}: zero volume")
         if self.side == "bid" and self.volume_kw > 0:
@@ -152,6 +154,8 @@ def load_ders(source, network: Network) -> DerPopulation:
     ders = []
     seen = set()
     for rec in recs:
+        if not isinstance(rec, dict):
+            raise SchemaError(f"DER record must be an object, got {rec!r}")
         der_id = str(rec.get("id", ""))
         if not der_id:
             raise SchemaError("DER record without id")
@@ -171,14 +175,16 @@ def load_ders(source, network: Network) -> DerPopulation:
         side = rec.get("side")
         if side not in SIDES:
             raise SchemaError(f"{where}: side must be 'bid' or 'offer'")
-        volume = float(rec.get("volume_kw", 0.0))
+        volume = require_real(f"{where}: volume_kw", rec.get("volume_kw"))
         if volume <= 0:
             raise DomainError(f"{where}: volume_kw must be positive")
         signed = -volume if side == "bid" else volume
         ders.append(Der(id=der_id, bus=bus, phases=phases, side=side,
-                        price=float(rec.get("price_cents_per_kwh", -1.0)),
+                        price=require_real(f"{where}: price_cents_per_kwh",
+                                           rec.get("price_cents_per_kwh")),
                         volume_kw=signed,
-                        power_factor=float(rec.get("power_factor", 0.0))))
+                        power_factor=require_real(f"{where}: power_factor",
+                                                  rec.get("power_factor"))))
     return DerPopulation.from_ders(ders, network)
 
 

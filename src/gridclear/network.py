@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import solve_triangular
 
-from .errors import DomainError, SchemaError, ShapeError, TopologyError
+from .errors import DomainError, SchemaError, ShapeError, TopologyError, require_real
 
 PHASES = ("a", "b", "c")
 
@@ -267,12 +267,12 @@ def _phase_map_to_vec(value, phases, where: str) -> np.ndarray:
                 raise SchemaError(f"{where}: unknown phase key {key!r}")
             if key not in phases:
                 raise SchemaError(f"{where}: value given for absent phase {key!r}")
-            vec[PHASES.index(key)] = float(val)
+            vec[PHASES.index(key)] = require_real(where, val)
     elif isinstance(value, (int, float)):
         for p in phases:
-            vec[PHASES.index(p)] = float(value)
+            vec[PHASES.index(p)] = require_real(where, value)
     elif isinstance(value, (list, tuple)) and len(value) == 3:
-        vec[:] = [float(v) for v in value]
+        vec[:] = [require_real(where, v) for v in value]
         for i, p in enumerate(PHASES):
             if vec[i] != 0.0 and p not in phases:
                 raise SchemaError(f"{where}: value given for absent phase {p!r}")
@@ -288,10 +288,14 @@ def _matrix_3x3(value, where: str) -> np.ndarray:
         raise SchemaError(f"{where}: not a numeric matrix") from exc
     if m.shape != (3, 3):
         raise SchemaError(f"{where}: expected a 3x3 matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError(f"{where}: entries must be finite numbers")
     return m
 
 
-def _require(doc: dict, key: str, where: str):
+def _require(doc, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected an object, got {doc!r}")
     if key not in doc:
         raise SchemaError(f"{where}: missing required field {key!r}")
     return doc[key]
@@ -323,13 +327,17 @@ def load_network(source) -> Network:
         raise SchemaError(f"expected schema {FEEDER_SCHEMA!r}, got {doc.get('schema')!r}")
 
     base = _require(doc, "base", "feeder")
-    s_base = float(_require(base, "s_base_kva", "base"))
-    v_base = float(_require(base, "v_base_kv", "base"))
+
+    def number(key):
+        return require_real(f"base.{key}", _require(base, key, "base"))
+
+    s_base = number("s_base_kva")
+    v_base = number("v_base_kv")
     if s_base <= 0 or v_base <= 0:
         raise DomainError("s_base_kva and v_base_kv must be positive")
-    v0_mag = float(_require(base, "v0_pu", "base"))
-    v_min_mag = float(_require(base, "v_min_pu", "base"))
-    v_max_mag = float(_require(base, "v_max_pu", "base"))
+    v0_mag = number("v0_pu")
+    v_min_mag = number("v_min_pu")
+    v_max_mag = number("v_max_pu")
     if not (0 < v_min_mag <= v0_mag <= v_max_mag):
         raise DomainError(
             f"voltage band must satisfy 0 < v_min <= v0 <= v_max, "
@@ -339,6 +347,8 @@ def load_network(source) -> Network:
 
     bus_recs = _require(doc, "buses", "feeder")
     line_recs = _require(doc, "lines", "feeder")
+    if not isinstance(bus_recs, list) or not isinstance(line_recs, list):
+        raise SchemaError("feeder buses and lines must be lists")
     if not bus_recs:
         raise SchemaError("feeder has no buses")
 

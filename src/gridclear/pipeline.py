@@ -66,6 +66,11 @@ class Bins:
     alpha_c: dict
     alpha_mc: dict
 
+    def own_bin(self, der: Der) -> TdopfSolution:
+        """The bin of the DER's own side: bids-only for bids, offers-only
+        for offers."""
+        return self.sol_a if der.side == "bid" else self.sol_b
+
 
 @dataclass(frozen=True)
 class IdsoQuote:
@@ -177,7 +182,7 @@ def qualification_prices(bins: Bins) -> dict:
     params, net = bins.params, bins.network
     out = {}
     for d in bins.population.ders:
-        sol = bins.sol_a if d.side == "bid" else bins.sol_b
+        sol = bins.own_bin(d)
         out[d.id] = qualification_price(d, sol.lambda_p, sol.lambda_q,
                                         params.big_m_cents, net.s_base_kva,
                                         params.delta_t_hours)
@@ -204,7 +209,7 @@ def make_quotes(bins: Bins) -> list[IdsoQuote]:
     for d in bins.population.ders:
         if d.id in withheld:
             continue
-        a = bins.alpha_a[d.id] if d.side == "bid" else bins.alpha_b[d.id]
+        a = bins.own_bin(d).alpha[d.id]
         if a > ALPHA_TOL:
             quotes.append(_quote(d, a, m))
     return quotes
@@ -363,10 +368,8 @@ def expost_rectify(bins: Bins, outcome: WpmOutcome) -> WpmOutcome:
     for d in pop.ders:
         if d.id in viable:
             continue
-        if d.id in outcome.cleared_bids:
-            clamp[d.id] = bins.alpha_a[d.id]
-        elif d.id in outcome.cleared_offers:
-            clamp[d.id] = bins.alpha_b[d.id]
+        if d.id in outcome.cleared_bids or d.id in outcome.cleared_offers:
+            clamp[d.id] = bins.own_bin(d).alpha[d.id]
         else:
             clamp[d.id] = 0.0
 

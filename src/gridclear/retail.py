@@ -43,14 +43,13 @@ def retail_signals(bins: Bins, outcome: WpmOutcome,
     lmp, m = outcome.lmp, bins.params.m_cents_per_kwh
     signals = []
     for d in bins.population.ders:
+        side_alpha = bins.own_bin(d).alpha[d.id]
         if d.side == "bid":
             through = lmp + m
-            side_alpha = bins.alpha_a[d.id]
             in_market = d.id in outcome.cleared_bids
             fence = max(through, cutoff_prices[d.id])
         else:
             through = lmp - m
-            side_alpha = bins.alpha_b[d.id]
             in_market = d.id in outcome.cleared_offers
             fence = min(through, cutoff_prices[d.id])
         settled_mc = outcome.cleared_mc.get(d.id)
@@ -76,7 +75,7 @@ def congestion_on_feed_path(bins: Bins, der_id: str, tol: float = 1e-9) -> list[
     Returns one record per (bus, phase) with a dual above `tol`.
     """
     d = bins.population.by_id(der_id)
-    sol = bins.sol_a if d.side == "bid" else bins.sol_b
+    sol = bins.own_bin(d)
     net = bins.network
     records = []
     for bus in net.path_to_head(d.bus):

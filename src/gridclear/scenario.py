@@ -150,8 +150,7 @@ def load_scenario(source, base_dir=None) -> ScenarioConfig:
         except TypeError as exc:
             raise ConfigError(f"bad lmp model: {exc}") from None
     else:
-        require_real("market.lmp", lmp_entry)
-        lmp_source = float(lmp_entry)
+        lmp_source = require_real("market.lmp", lmp_entry)
 
     case = doc.get("case", "C")
     if case not in CASES:
@@ -176,6 +175,13 @@ class ScenarioResult:
     documents: dict
 
 
+def load_population(config: ScenarioConfig, network: Network) -> DerPopulation:
+    """The scenario's DER population on `network`: sampled or loaded."""
+    if isinstance(config.ders, GenerationSpec):
+        return generate_population(config.ders, network)
+    return load_ders(config.ders, network)
+
+
 def _phase_dict(vec, s_base) -> dict:
     return {ph: float(vec[i] * s_base) for i, ph in enumerate("abc")}
 
@@ -188,10 +194,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> ScenarioResult:
     solution_joint.json, outcome.json, retail.json.
     """
     network = load_network(config.feeder)
-    if isinstance(config.ders, GenerationSpec):
-        population = generate_population(config.ders, network)
-    else:
-        population = load_ders(config.ders, network)
+    population = load_population(config, network)
     if config.case == "A":
         population = DerPopulation.from_ders(population.subset("bid"), network)
     elif config.case == "B":

@@ -6,11 +6,15 @@ equations, voltage box, and polygonal apparent-power limits?  The duals of
 the balance rows are nodal prices per phase; from them each DER gets a
 qualification price, the cutoff at which it would just have been accepted.
 
-Variable layout is [alpha (one per DER), P (3N line flows), Q (3N)].
-Equality rows are the per-phase balances written as C'P - p_der = p_fixed
-(then the same for reactive), optionally followed by one zero-net-volume
-coupling row.  Inequality rows are stacked as voltage upper, voltage lower,
-then E blocks of line-polygon rows, then E blocks of head-polygon rows.
+The LP's blocks are named where `assemble` stacks them, and nowhere else.
+Columns are `alpha` (one per DER), `p` and `q` (3N line flows each), kept
+as slices in `TdopfProblem.cols`.  Inequality rows are the families
+`voltage_box` (upper, then lower), `line_polygon` (E blocks of 3N) and
+`substation_polygon` (E blocks of 3), kept as slices in
+`TdopfProblem.ub_rows`; `solve`, `kkt_residuals` and the infeasibility
+probes read both tables by name.  Equality rows are the per-phase balances
+written as C'P - p_der = p_fixed (then the same for reactive), optionally
+followed by one zero-net-volume coupling row.
 
 Both constraint matrices are assembled as canonical CSR (sorted indices,
 no stored zeros), block by block from the feeder's cached matrices, and
@@ -70,16 +74,14 @@ class TdopfParams:
 
     m_cents_per_kwh is the IDSO's network charge per kWh moved through the
     head; big_m_cents is the acceptance subsidy that makes grid-feasible
-    offers preferred regardless of stated price.  polygon_coeffs can
-    override the regular-polygon coefficients with custom (beta, delta,
-    gamma) triples of equal length.
+    offers preferred regardless of stated price.  Apparent-power limits are
+    the regular polygon with polygon_edges sides inscribed in each disc.
     """
 
     m_cents_per_kwh: float = 2.5
     delta_t_hours: float = 1.0
     big_m_cents: float = 1000.0
     polygon_edges: int = 12
-    polygon_coeffs: tuple | None = None
 
     def __post_init__(self):
         require_real("market.m_cents_per_kwh", self.m_cents_per_kwh)
@@ -88,28 +90,26 @@ class TdopfParams:
         require_int("market.polygon_edges", self.polygon_edges, 3)
 
     def polygon(self):
-        if self.polygon_coeffs is not None:
-            beta, delta, gamma = (np.asarray(a, dtype=float) for a in self.polygon_coeffs)
-            if not len(beta) == len(delta) == len(gamma):
-                raise ShapeError("polygon coefficient arrays must have equal length")
-            return beta, delta, gamma
+        """(beta, delta, gamma) of the regular polygon; see polygon_coefficients."""
         return polygon_coefficients(self.polygon_edges)
 
 
 @dataclass
 class TdopfProblem:
-    """An assembled LP, kept with enough structure to read its duals back.
+    """An assembled LP and the names of its blocks.
 
     The constraint matrices are stored as canonical CSR in `a_eq_csr` and
     `a_ub_csr`; the solver and the optimality check use only those.
     `a_eq` and `a_ub` write them out as read-only dense arrays, built anew
-    on every access, for inspection and size reports.
+    on every access, for inspection and size reports.  `ub_rows` maps each
+    inequality family to its row slice, and `cols` each column block to
+    its column slice; clamped DERs are those whose bounds are equal.  The
+    polygon and the DER scatter are read from `params` and `population`.
     """
 
     network: Network
     population: DerPopulation
     params: TdopfParams
-    clamp: dict
     zero_net_volume: tuple
     c: np.ndarray
     a_eq_csr: sparse.csr_array
@@ -117,11 +117,7 @@ class TdopfProblem:
     a_ub_csr: sparse.csr_array
     b_ub: np.ndarray
     bounds: list
-    beta: np.ndarray
-    delta: np.ndarray
-    gamma: np.ndarray
-    gp: np.ndarray
-    gq: np.ndarray
+    ub_rows: dict
 
     @property
     def a_eq(self) -> np.ndarray:
@@ -132,16 +128,22 @@ class TdopfProblem:
         return _dense_view(self.a_ub_csr)
 
     @property
-    def n_der(self) -> int:
-        return self.population.n
+    def cols(self) -> dict:
+        return _column_blocks(self.network, self.population)
 
-    @property
-    def n3(self) -> int:
-        return 3 * self.network.n
 
-    @property
-    def edges(self) -> int:
-        return len(self.beta)
+def _stacked(heights: dict) -> dict:
+    """Consecutive slices for an ordered table of block name -> height."""
+    out, start = {}, 0
+    for name, height in heights.items():
+        out[name] = slice(start, start + height)
+        start += height
+    return out
+
+
+def _column_blocks(network: Network, population: DerPopulation) -> dict:
+    n3 = 3 * network.n
+    return _stacked({"alpha": population.n, "p": n3, "q": n3})
 
 
 def _dense_view(a: sparse.csr_array) -> np.ndarray:
@@ -210,38 +212,38 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     matrices = network.matrices
     n = population.n
     n3 = 3 * network.n
+    cols = _column_blocks(network, population)
 
-    gp = population.scatter_p()
-    gq = population.scatter_q()
     p_f, q_f = network.fixed_injections()
     beta, delta, gamma = params.polygon()
 
     c_t = sparse.csr_array(matrices.c.T)
-    a_eq = _canonical(sparse.block_array([[sparse.csr_array(-gp), c_t, None],
-                                          [sparse.csr_array(-gq), None, c_t]]))
+    a_eq = _canonical(sparse.block_array([
+        [sparse.csr_array(-population.scatter_p()), c_t, None],
+        [sparse.csr_array(-population.scatter_q()), None, c_t]]))
     b_eq = np.concatenate([p_f, q_f])
 
-    # flow columns of the inequality rows: voltage box, line and head polygons
+    # inequality families over the flow columns, as (rows, right-hand side)
     s_line = np.concatenate([line.s_max for line in network.lines])
     edge_pq = np.column_stack([beta, delta])  # row e: [beta_e, delta_e]
-    flow_rows = sparse.vstack([
-        network.voltage_block,
-        sparse.kron(edge_pq, sparse.eye_array(n3)),
-        sparse.kron(edge_pq, sparse.csr_array(matrices.c0.T)),
-    ])
+    families = {
+        "voltage_box": (network.voltage_block,
+                        np.concatenate([np.full(n3, network.v_max - network.v0),
+                                        np.full(n3, network.v0 - network.v_min)])),
+        "line_polygon": (sparse.kron(edge_pq, sparse.eye_array(n3)),
+                         np.outer(-gamma, s_line).ravel()),
+        "substation_polygon": (sparse.kron(edge_pq, sparse.csr_array(matrices.c0.T)),
+                               np.outer(-gamma, network.s0_max).ravel()),
+    }
+    flow_rows = sparse.vstack([rows for rows, _ in families.values()])
     a_ub = _canonical(sparse.hstack([sparse.csr_array((flow_rows.shape[0], n)), flow_rows]))
-    b_ub = np.concatenate([
-        np.full(n3, network.v_max - network.v0),
-        np.full(n3, network.v0 - network.v_min),
-        np.outer(-gamma, s_line).ravel(),
-        np.outer(-gamma, network.s0_max).ravel(),
-    ])
+    b_ub = np.concatenate([rhs for _, rhs in families.values()])
 
     scale = network.s_base_kva * params.delta_t_hours
     c = np.zeros(n + 2 * n3)
-    for j, der in enumerate(population.ders):
-        c[j] = gamma_price(der, params.big_m_cents) * der.volume_kw * params.delta_t_hours
-    c[n:n + n3] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))
+    c[cols["alpha"]] = [gamma_price(der, params.big_m_cents) * der.volume_kw
+                        * params.delta_t_hours for der in population.ders]
+    c[cols["p"]] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))
 
     # flows on phases a line does not carry are pinned at zero
     flow_bounds = [(0.0, 0.0)] * n3
@@ -249,11 +251,10 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
         flow_bounds[row] = (None, None)
 
     joint = TdopfProblem(
-        network=network, population=population, params=params,
-        clamp={}, zero_net_volume=(),
+        network=network, population=population, params=params, zero_net_volume=(),
         c=c, a_eq_csr=a_eq, b_eq=b_eq, a_ub_csr=a_ub, b_ub=b_ub,
-        bounds=[(0.0, 1.0)] * n + flow_bounds * 2,
-        beta=beta, delta=delta, gamma=gamma, gp=gp, gq=gq,
+        bounds=[(0.0, 1.0)] * n + flow_bounds * 2,  # alpha, p, q
+        ub_rows=_stacked({name: len(rhs) for name, (_, rhs) in families.items()}),
     )
     return clamped(joint, clamp or {}, zero_net_volume)
 
@@ -291,34 +292,23 @@ def clamped(problem: TdopfProblem, clamp: dict, zero_net_volume: tuple = ()) -> 
             volume_row[0, j] = pop.ders[j].volume_kw
         a_eq = _canonical(sparse.vstack([a_eq, sparse.csr_array(volume_row)]))
         b_eq = np.append(b_eq, 0.0)
-    return replace(problem, clamp=clamp, zero_net_volume=tuple(zero_net_volume),
+    return replace(problem, zero_net_volume=tuple(zero_net_volume),
                    a_eq_csr=a_eq, b_eq=b_eq, bounds=bounds + problem.bounds[pop.n:])
-
-
-_ROW_FAMILIES = ("voltage_box", "line_polygon", "substation_polygon")
-
-
-def _family_rows(problem: TdopfProblem, family: str) -> slice:
-    n3, edges = problem.n3, problem.edges
-    if family == "voltage_box":
-        return slice(0, 2 * n3)
-    if family == "line_polygon":
-        return slice(2 * n3, 2 * n3 + edges * n3)
-    return slice(2 * n3 + edges * n3, 2 * n3 + edges * n3 + 3 * edges)
 
 
 def _diagnose_infeasibility(problem: TdopfProblem) -> tuple:
     """Smallest set of row families whose removal restores feasibility.
 
-    Tries single families first, then pairs, then all three; if even the
-    bare balance system cannot hold, says so.
+    Tries single families first, then pairs, and so on up to all of them;
+    if even the bare balance system cannot hold, says so.
     """
+    families = problem.ub_rows
     keep_all = np.ones(problem.a_ub_csr.shape[0], dtype=bool)
-    for size in (1, 2, 3):
-        for combo in combinations(_ROW_FAMILIES, size):
+    for size in range(1, len(families) + 1):
+        for combo in combinations(families, size):
             keep = keep_all.copy()
             for family in combo:
-                keep[_family_rows(problem, family)] = False
+                keep[families[family]] = False
             res = solve_lp(problem.c, problem.a_ub_csr[keep], problem.b_ub[keep],
                            problem.a_eq_csr, problem.b_eq, problem.bounds)
             logger.debug("infeasibility probe without %s: %s",
@@ -337,19 +327,18 @@ def solve(problem: TdopfProblem) -> TdopfSolution:
         return TdopfSolution(status=res.status, infeasibility_hint=hint,
                              message=res.message, iterations=res.nit)
 
-    n, n3, edges = problem.n_der, problem.n3, problem.edges
+    cols, rows = problem.cols, problem.ub_rows
     x = res.x
-    alpha = {der.id: float(x[j]) for j, der in enumerate(problem.population.ders)}
-    p_flow = x[n:n + n3]
-    q_flow = x[n + n3:n + 2 * n3]
+    alpha = {der.id: float(a) for der, a in zip(problem.population.ders, x[cols["alpha"]])}
+    p_flow, q_flow = x[cols["p"]], x[cols["q"]]
+    n3 = len(p_flow)
     m = problem.network.matrices
     v = lindistflow_voltages(m, problem.network.v0, p_flow, q_flow)
     p0, q0 = head_injection(m, p_flow, q_flow)
 
     lam = res.eq_marginals
     mu = -res.ub_marginals  # nonnegative in the identity convention
-    mu_line = mu[2 * n3:2 * n3 + edges * n3].reshape(edges, n3)
-    mu_sub = mu[2 * n3 + edges * n3:].reshape(edges, 3)
+    mu_v_upper, mu_v_lower = mu[rows["voltage_box"]].reshape(-1, n3)
     lower = res.lower_marginals
     upper = res.upper_marginals
 
@@ -359,11 +348,12 @@ def solve(problem: TdopfProblem) -> TdopfSolution:
         p_flow=p_flow, q_flow=q_flow, v=v, p0=p0, q0=q0,
         lambda_p=lam[0:n3], lambda_q=lam[n3:2 * n3],
         lambda_net_volume=float(lam[-1]) if problem.zero_net_volume else 0.0,
-        mu_v_upper=mu[0:n3], mu_v_lower=mu[n3:2 * n3],
-        mu_line=mu_line, mu_sub=mu_sub,
-        alpha_lo=lower[0:n], alpha_up=-upper[0:n],
-        z_p=lower[n:n + n3] + upper[n:n + n3],
-        z_q=lower[n + n3:n + 2 * n3] + upper[n + n3:n + 2 * n3],
+        mu_v_upper=mu_v_upper, mu_v_lower=mu_v_lower,
+        mu_line=mu[rows["line_polygon"]].reshape(-1, n3),
+        mu_sub=mu[rows["substation_polygon"]].reshape(-1, 3),
+        alpha_lo=lower[cols["alpha"]], alpha_up=-upper[cols["alpha"]],
+        z_p=lower[cols["p"]] + upper[cols["p"]],
+        z_q=lower[cols["q"]] + upper[cols["q"]],
         objective_cents=res.fun,
         message=res.message,
         iterations=res.nit,
@@ -384,11 +374,12 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
     net = problem.network
     m = net.matrices
     params = problem.params
-    n, n3, edges = problem.n_der, problem.n3, problem.edges
-    x = np.concatenate([
-        [solution.alpha[d.id] for d in problem.population.ders],
-        solution.p_flow, solution.q_flow,
-    ])
+    pop = problem.population
+    cols, rows = problem.cols, problem.ub_rows
+    n = pop.n
+    x = np.empty(len(problem.c))
+    x[cols["alpha"]] = [solution.alpha[d.id] for d in pop.ders]
+    x[cols["p"]], x[cols["q"]] = solution.p_flow, solution.q_flow
 
     out = {}
     r_eq = problem.a_eq_csr @ x - problem.b_eq
@@ -401,10 +392,11 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
     dmu_v = solution.mu_v_upper - solution.mu_v_lower
     volt_p = 2.0 * m.d_r.T @ (m.c_inv.T @ dmu_v)
     volt_q = 2.0 * m.d_x.T @ (m.c_inv.T @ dmu_v)
-    line_p = problem.beta @ solution.mu_line
-    line_q = problem.delta @ solution.mu_line
-    sub_p = m.c0 @ (problem.beta @ solution.mu_sub)
-    sub_q = m.c0 @ (problem.delta @ solution.mu_sub)
+    beta, delta, _ = params.polygon()
+    line_p = beta @ solution.mu_line
+    line_q = delta @ solution.mu_line
+    sub_p = m.c0 @ (beta @ solution.mu_sub)
+    sub_q = m.c0 @ (delta @ solution.mu_sub)
 
     lhs_p = m.c @ solution.lambda_p
     rhs_p = grad_p + volt_p + line_p + sub_p - solution.z_p
@@ -419,15 +411,15 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
     out["stationarity_q"] = np.max(np.abs(lhs_q - rhs_q)) / scale_q
 
     if n:
-        c_alpha = problem.c[:n]
-        vols = np.array([d.volume_kw for d in problem.population.ders])
+        c_alpha = problem.c[cols["alpha"]]
+        vols = np.array([d.volume_kw for d in pop.ders])
         znv = np.zeros(n)
         if problem.zero_net_volume:
             for der_id in problem.zero_net_volume:
-                j = problem.population.column_of[der_id]
+                j = pop.column_of[der_id]
                 znv[j] = vols[j] * solution.lambda_net_volume
-        r_alpha = (c_alpha + problem.gp.T @ solution.lambda_p
-                   + problem.gq.T @ solution.lambda_q - znv
+        r_alpha = (c_alpha + pop.scatter_p().T @ solution.lambda_p
+                   + pop.scatter_q().T @ solution.lambda_q - znv
                    + solution.alpha_up - solution.alpha_lo)
         scale_a = max(1.0, np.max(np.abs(c_alpha)),
                       np.max(np.abs(solution.alpha_up)), np.max(np.abs(solution.alpha_lo)))
@@ -435,13 +427,15 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
     else:
         out["stationarity_alpha"] = 0.0
 
-    mu = np.concatenate([solution.mu_v_upper, solution.mu_v_lower,
-                         solution.mu_line.ravel(), solution.mu_sub.ravel()])
+    mu = np.empty(len(problem.b_ub))
+    mu[rows["voltage_box"]] = np.concatenate([solution.mu_v_upper, solution.mu_v_lower])
+    mu[rows["line_polygon"]] = solution.mu_line.ravel()
+    mu[rows["substation_polygon"]] = solution.mu_sub.ravel()
     mu_scale = max(1.0, np.max(mu, initial=0.0))
     out["comp_slack_rows"] = np.max(np.abs(mu * slack), initial=0.0) / mu_scale
     if n:
-        alphas = x[:n]
-        free = np.array([d.id not in problem.clamp for d in problem.population.ders])
+        alphas = x[cols["alpha"]]
+        free = np.array([lo != hi for lo, hi in problem.bounds[cols["alpha"]]])
         prod_lo = np.abs(solution.alpha_lo[free] * alphas[free])
         prod_up = np.abs(solution.alpha_up[free] * (1.0 - alphas[free]))
         bscale = max(1.0, np.max(solution.alpha_lo, initial=0.0),

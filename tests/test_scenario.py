@@ -148,6 +148,24 @@ def generate_spec(**spec):
     return {"generate": dict({"n_bids": 2, "n_offers": 1, "seed": 11}, **spec)}
 
 
+def der_edit(**fields):
+    """Inline DER document whose first record has `fields` replaced."""
+    doc = ders_doc()
+    doc["ders"][0].update(fields)
+    return {"ders": doc}
+
+
+def feeder_edit(*path, value):
+    """Inline feeder document with the entry at `path` set to `value`."""
+    doc = mc_feeder_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return {"feeder": doc}
+
+
+
 # each one replaces a top-level section of a valid scenario
 BAD_CONFIGS = {
     "wrong-schema": {"schema": "nope"},
@@ -167,6 +185,25 @@ BAD_CONFIGS = {
     "price-overflow": {"market": {"lmp": {"intercept": 8.0, "slope": 1e308,
                                           "base_load_kw": 1e10}}},
     "negative-slope": {"market": {"lmp": {"intercept": 8.0, "slope": -0.004}}},
+    "volume-as-string": der_edit(volume_kw="abc"),
+    "volume-null": der_edit(volume_kw=None),
+    "volume-nan": der_edit(volume_kw=float("nan")),
+    "volume-infinite": der_edit(volume_kw=float("inf")),
+    "der-price-as-string": der_edit(price_cents_per_kwh="x"),
+    "der-price-nan": der_edit(price_cents_per_kwh=float("nan")),
+    "der-price-infinite": der_edit(price_cents_per_kwh=float("inf")),
+    "power-factor-as-string": der_edit(power_factor="x"),
+    "der-record-not-object": {"ders": {"schema": "gridclear-ders/1", "ders": [1]}},
+    "s-base-as-string": feeder_edit("base", "s_base_kva", value="abc"),
+    "s-base-nan": feeder_edit("base", "s_base_kva", value=float("nan")),
+    "v0-as-string": feeder_edit("base", "v0_pu", value="x"),
+    "head-limit-nan": feeder_edit("base", "s0_max_kva", value=float("nan")),
+    "line-limit-nan": feeder_edit("lines", 0, "s_max_kva", value=float("nan")),
+    "fixed-load-nan": feeder_edit("buses", 2, "fixed_p_kw", value=float("nan")),
+    "resistance-nan": feeder_edit("lines", 0, "r_ohm", 0, 0, value=float("nan")),
+    "bus-record-not-object": feeder_edit("buses", 2, value=1),
+    "buses-not-list": feeder_edit("buses", value=5),
+    "lines-not-list": feeder_edit("lines", value=5),
 }
 
 
@@ -241,7 +278,7 @@ class TestCli:
         doc = json.loads(path.read_text())
         doc.update(override)
         path.write_text(json.dumps(doc))
-        assert main(["run", "-c", str(path)]) == 2
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_infeasible_feeder_exit_code(self, tmp_path, capsys):

@@ -415,6 +415,17 @@ class TestSparseAssembly:
             assert a.has_canonical_format
             assert np.all(a.data != 0)
 
+    def test_named_blocks_tile_the_lp(self, lateral):
+        net, pop = lateral
+        prob = assemble(net, pop, TdopfParams(polygon_edges=8))
+        n, n3 = pop.n, 3 * net.n
+        assert prob.cols == {"alpha": slice(0, n), "p": slice(n, n + n3),
+                             "q": slice(n + n3, n + 2 * n3)}
+        assert prob.ub_rows == {"voltage_box": slice(0, 2 * n3),
+                                "line_polygon": slice(2 * n3, 10 * n3),
+                                "substation_polygon": slice(10 * n3, 10 * n3 + 24)}
+        assert prob.a_ub_csr.shape == (10 * n3 + 24, n + 2 * n3)
+
     def test_dense_views_are_read_only(self, lateral):
         net, pop = lateral
         prob = assemble(net, pop, TdopfParams())
