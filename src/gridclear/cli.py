@@ -2,15 +2,19 @@
 
 Subcommands: run a scenario end to end, sample a DER population, check a
 dispatch against the network limits, and flatten a finished run into CSV
-files.  Exit codes: 0 success, 2 bad document or configuration, 3 no
-feasible operating point (or a dispatch check that found violations),
-4 internal failure.
+files.  Exit codes: 0 success, 2 bad document or configuration (a file
+that cannot be read or parsed, a document of the wrong shape or schema,
+or a bad value, in any file a subcommand reads), 3 no feasible operating
+point (or a dispatch check that found violations), 4 internal failure.
+
+`check -a` takes any JSON object with a `final_alpha` object, such as a
+run's outcome.json; every key must be a DER id of the scenario and every
+value a finite number.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,11 +27,12 @@ from .errors import (
     SchemaError,
     ShapeError,
     TopologyError,
+    read_document,
+    require_real,
 )
 from .network import load_network
 from .pipeline import dispatch_check
 from .scenario import (
-    OUTCOME_SCHEMA,
     _write_json,
     emit_plot_data,
     load_population,
@@ -54,9 +59,7 @@ def _cmd_run(args) -> int:
     if result.violations:
         print(f"final dispatch violates {len(result.violations)} constraint(s)")
         for v in result.violations:
-            where = v.get("bus") or v.get("line") or "head"
-            print(f"  {v['kind']} at {where} phase {v['phase']}: "
-                  f"{v['value']:.5f} vs limit {v['limit']:.5f}")
+            print(f"  {_violation_line(v)}")
     else:
         print("final dispatch respects all network limits")
     print(f"artifacts in {Path(out_dir).resolve()}")
@@ -75,31 +78,29 @@ def _cmd_generate_ders(args) -> int:
     return EXIT_OK
 
 
+def _violation_line(v: dict) -> str:
+    where = v.get("bus") or v.get("line") or "head"
+    return (f"{v['kind']} at {where} phase {v['phase']}: "
+            f"{v['value']:.5f} vs limit {v['limit']:.5f}")
+
+
 def _cmd_check(args) -> int:
     config = load_scenario(args.config)
     network = load_network(config.feeder)
     population = load_population(config, network)
-    try:
-        with open(args.alpha) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"no such file: {args.alpha}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.alpha} is not valid JSON: {exc}") from None
-    if doc.get("schema") == OUTCOME_SCHEMA:
-        alpha = doc.get("final_alpha", {})
-    elif isinstance(doc.get("final_alpha"), dict):
-        alpha = doc["final_alpha"]
-    else:
-        raise ConfigError("alpha file needs an outcome document or a final_alpha map")
+    alpha = read_document(args.alpha, None, "alpha").get("final_alpha")
+    if not isinstance(alpha, dict):
+        raise SchemaError("alpha file needs a final_alpha object")
+    for der_id, value in alpha.items():
+        if der_id not in population.column_of:
+            raise SchemaError(f"final_alpha names no DER of the scenario: {der_id!r}")
+        require_real(f"final_alpha[{der_id!r}]", value)
     report = dispatch_check(network, population, alpha, config.params)
     if not report:
         print("dispatch respects all network limits")
         return EXIT_OK
     for v in report:
-        where = v.get("bus") or v.get("line") or "head"
-        print(f"{v['kind']} at {where} phase {v['phase']}: "
-              f"{v['value']:.5f} vs limit {v['limit']:.5f}")
+        print(_violation_line(v))
     print(f"{len(report)} violation(s)")
     return EXIT_INFEASIBLE
 
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check a dispatch against the feeder's limits")
     p.add_argument("-c", "--config", required=True, help="scenario JSON file")
     p.add_argument("-a", "--alpha", required=True,
-                   help="outcome JSON (or any file with a final_alpha map)")
+                   help="outcome JSON (or any JSON object with a final_alpha map)")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("plot-data",

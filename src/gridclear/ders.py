@@ -8,15 +8,13 @@ power-factor ratio.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DomainError, SchemaError, require_int, require_real
+from .errors import DomainError, SchemaError, read_document, require_int, require_real
 from .network import PHASES, Network, parse_phases, phase_rows
 
 DERS_SCHEMA = "gridclear-ders/1"
@@ -89,13 +87,11 @@ class DerPopulation:
     Built once by `from_ders`, which also fixes where each DER injects:
     column j of the read-only (3N x n) real scatter holds DER j's signed
     per-unit volume, split evenly over its phase rows at its bus, and the
-    reactive scatter is that column times eta[j], the DER's reactive
-    ratio.  column_of maps each DER id to its column.
+    reactive scatter is that column times the DER's reactive ratio
+    `Der.eta`.  column_of maps each DER id to its column.
     """
 
     ders: tuple[Der, ...]
-    eta: np.ndarray
-    s_base_kva: float
     column_of: dict = field(repr=False)
     _gp: np.ndarray = field(repr=False)
     _gq: np.ndarray = field(repr=False)
@@ -112,12 +108,11 @@ class DerPopulation:
             share = der.volume_kw / (network.s_base_kva * len(der.phases))
             for _, row in phase_rows(der.bus - 1, der.phases):
                 gp[row, j] = share
-        eta = np.array([d.eta for d in ders])
-        gq = gp * eta
+        gq = gp * np.array([d.eta for d in ders])
         gp.setflags(write=False)
         gq.setflags(write=False)
-        return cls(ders=ders, eta=eta, s_base_kva=network.s_base_kva,
-                   column_of={d.id: j for j, d in enumerate(ders)}, _gp=gp, _gq=gq)
+        return cls(ders=ders, column_of={d.id: j for j, d in enumerate(ders)},
+                   _gp=gp, _gq=gq)
 
     def by_id(self, der_id: str) -> Der:
         return self.ders[self.column_of[der_id]]
@@ -140,13 +135,7 @@ def load_ders(source, network: Network) -> DerPopulation:
     User-facing records state volumes as positive magnitudes with a side
     field; the sign convention is applied here.
     """
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
-    if not isinstance(doc, dict) or doc.get("schema") != DERS_SCHEMA:
-        raise SchemaError(f"expected schema {DERS_SCHEMA!r}")
+    doc = read_document(source, DERS_SCHEMA, "ders")
     recs = doc.get("ders")
     if not isinstance(recs, list):
         raise SchemaError("ders document needs a 'ders' list")

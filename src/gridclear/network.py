@@ -14,16 +14,21 @@ canonical ordering.  `phase_rows`, `Network.bus_rows` and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import solve_triangular
 
-from .errors import DomainError, SchemaError, ShapeError, TopologyError, require_real
+from .errors import (
+    DomainError,
+    SchemaError,
+    ShapeError,
+    TopologyError,
+    read_document,
+    require_real,
+)
 
 PHASES = ("a", "b", "c")
 
@@ -316,15 +321,7 @@ def load_network(source) -> Network:
         Canonically ordered (head first, parents before children, line l
         feeds bus l + 1), converted to per-unit.
     """
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise SchemaError("feeder document must be a mapping")
-    if doc.get("schema") != FEEDER_SCHEMA:
-        raise SchemaError(f"expected schema {FEEDER_SCHEMA!r}, got {doc.get('schema')!r}")
+    doc = read_document(source, FEEDER_SCHEMA, "feeder")
 
     base = _require(doc, "base", "feeder")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,8 @@ logger = logging.getLogger("gridclear")
 # below this an acceptance fraction counts as zero
 ALPHA_TOL = 1e-6
 PRICE_TOL = 1e-9
+# how far past a limit a dispatch may sit before dispatch_check reports it
+DISPATCH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,9 @@ class Bins:
     """The three per-interval acceptance solves and what moved between them.
 
     alpha_a / alpha_b / alpha_c map every DER id to its acceptance in the
-    bids-only, offers-only, and joint bins.  alpha_mc holds the joint-bin
-    acceptance of each DER whose value moved relative to its side bin.
-    problem is the interval's one assembled LP, the joint bin's; the side
-    bins and the ex-post LP are `clamped` from it.
+    bids-only, offers-only, and joint bins.  problem is the interval's one
+    assembled LP, the joint bin's; the side bins and the ex-post LP are
+    `clamped` from it.
     """
 
     network: Network
@@ -64,12 +66,18 @@ class Bins:
     alpha_a: dict
     alpha_b: dict
     alpha_c: dict
-    alpha_mc: dict
 
     def own_bin(self, der: Der) -> TdopfSolution:
         """The bin of the DER's own side: bids-only for bids, offers-only
         for offers."""
         return self.sol_a if der.side == "bid" else self.sol_b
+
+    @cached_property
+    def alpha_mc(self) -> dict:
+        """Joint-bin acceptance of each DER whose value moved relative to
+        its own side's bin."""
+        return {d.id: self.alpha_c[d.id] for d in self.population.ders
+                if abs(self.alpha_c[d.id] - self.own_bin(d).alpha[d.id]) > ALPHA_TOL}
 
 
 @dataclass(frozen=True)
@@ -160,16 +168,10 @@ def build_bins(network: Network, population: DerPopulation,
     sol_a = _require_optimal(solve(clamped(joint, offers_out)), "bids-only")
     sol_b = _require_optimal(solve(clamped(joint, bids_out)), "offers-only")
     sol_c = _require_optimal(solve(joint), "joint")
-
-    alpha_mc = {}
-    for d in population.ders:
-        side = sol_a.alpha if d.side == "bid" else sol_b.alpha
-        if abs(sol_c.alpha[d.id] - side[d.id]) > ALPHA_TOL:
-            alpha_mc[d.id] = sol_c.alpha[d.id]
     return Bins(network=network, population=population, params=params,
                 problem=joint, sol_a=sol_a, sol_b=sol_b, sol_c=sol_c,
                 alpha_a=dict(sol_a.alpha), alpha_b=dict(sol_b.alpha),
-                alpha_c=dict(sol_c.alpha), alpha_mc=alpha_mc)
+                alpha_c=dict(sol_c.alpha))
 
 
 def mc_ids(bins: Bins) -> tuple:
@@ -335,6 +337,15 @@ def wpm_clear(quotes, lmp_source, alpha_bids: dict,
                       scheduled_net_interchange_kw=imported - exported)
 
 
+def settled_alpha(population: DerPopulation, outcome: WpmOutcome) -> dict:
+    """Every DER's acceptance as the wholesale market settled it: cleared
+    DERs at their cleared acceptance, all others at zero."""
+    alpha = {d.id: 0.0 for d in population.ders}
+    alpha.update(outcome.cleared_bids)
+    alpha.update(outcome.cleared_offers)
+    return alpha
+
+
 def expost_rectify(bins: Bins, outcome: WpmOutcome) -> WpmOutcome:
     """Settle the withheld DERs now that the wholesale price is known.
 
@@ -349,13 +360,6 @@ def expost_rectify(bins: Bins, outcome: WpmOutcome) -> WpmOutcome:
     lmp, m = outcome.lmp, params.m_cents_per_kwh
     retained = mc_ids(bins)
 
-    if not retained:
-        final_alpha = {d.id: 0.0 for d in pop.ders}
-        final_alpha.update(outcome.cleared_bids)
-        final_alpha.update(outcome.cleared_offers)
-        return replace(outcome, mc_candidates=(), cleared_mc={},
-                       final_alpha=final_alpha, rectification="none")
-
     viable = []
     for der_id in retained:
         d = pop.by_id(der_id)
@@ -364,19 +368,12 @@ def expost_rectify(bins: Bins, outcome: WpmOutcome) -> WpmOutcome:
             viable.append(der_id)
     viable = tuple(viable)
 
-    clamp = {}
-    for d in pop.ders:
-        if d.id in viable:
-            continue
-        if d.id in outcome.cleared_bids or d.id in outcome.cleared_offers:
-            clamp[d.id] = bins.own_bin(d).alpha[d.id]
-        else:
-            clamp[d.id] = 0.0
-
+    settled = settled_alpha(pop, outcome)
     if not viable:
-        return replace(outcome, mc_candidates=(), cleared_mc={},
-                       final_alpha=clamp, rectification="applied")
+        return replace(outcome, mc_candidates=(), cleared_mc={}, final_alpha=settled,
+                       rectification="applied" if retained else "none")
 
+    clamp = {i: a for i, a in settled.items() if i not in viable}
     sol = solve(clamped(bins.problem, clamp, viable))
     if sol.status == "optimal":
         final_alpha = dict(sol.alpha)
@@ -389,10 +386,8 @@ def expost_rectify(bins: Bins, outcome: WpmOutcome) -> WpmOutcome:
     logger.warning("ex-post LP for %d viable withheld DERs ended %s (hint: %s); "
                    "dropping the block", len(viable), sol.status,
                    ", ".join(sol.infeasibility_hint) or "none")
-    final_alpha = dict(clamp)
-    final_alpha.update({i: 0.0 for i in viable})
     return replace(outcome, mc_candidates=viable, cleared_mc={},
-                   final_alpha=final_alpha, rectification="infeasible_fallback")
+                   final_alpha=settled, rectification="infeasible_fallback")
 
 
 def evaluate_dispatch(network: Network, population: DerPopulation,
@@ -414,12 +409,13 @@ def evaluate_dispatch(network: Network, population: DerPopulation,
 
 
 def dispatch_check(network: Network, population: DerPopulation, alpha: dict,
-                   params: TdopfParams, tol: float = 1e-7) -> list[dict]:
+                   params: TdopfParams) -> list[dict]:
     """Verify a dispatch against the same constraint set the solves use.
 
     Returns one record per violated constraint: voltage band rows on
     phases the bus carries, polygon rows on phases each line carries, and
-    the head polygon.  An empty list means the dispatch is clean.
+    the head polygon, each beyond DISPATCH_TOL.  An empty list means the
+    dispatch is clean.
     """
     state = evaluate_dispatch(network, population, alpha)
     beta, delta, gamma = params.polygon()
@@ -428,11 +424,11 @@ def dispatch_check(network: Network, population: DerPopulation, alpha: dict,
 
     for bus, ph, r in network.bus_rows():
         val = float(state["v"][r])
-        if val < network.v_min - tol:
+        if val < network.v_min - DISPATCH_TOL:
             report.append({"kind": "voltage_low", "bus": bus.label,
                            "phase": ph, "value": float(np.sqrt(max(val, 0.0))),
                            "limit": float(np.sqrt(network.v_min))})
-        elif val > network.v_max + tol:
+        elif val > network.v_max + DISPATCH_TOL:
             report.append({"kind": "voltage_high", "bus": bus.label,
                            "phase": ph, "value": float(np.sqrt(val)),
                            "limit": float(np.sqrt(network.v_max))})
@@ -441,7 +437,7 @@ def dispatch_check(network: Network, population: DerPopulation, alpha: dict,
         limit = line.s_max[PHASES.index(ph)]
         reach = float(np.max(beta * state["p_flow"][r]
                              + delta * state["q_flow"][r]))
-        if reach > apothem * limit + tol:
+        if reach > apothem * limit + DISPATCH_TOL:
             frm = network.label_of(line.from_bus)
             to = network.label_of(line.to_bus)
             report.append({"kind": "line_overload",
@@ -451,7 +447,7 @@ def dispatch_check(network: Network, population: DerPopulation, alpha: dict,
 
     for i, ph in enumerate(PHASES):
         reach = float(np.max(beta * state["p0"][i] + delta * state["q0"][i]))
-        if reach > apothem * network.s0_max[i] + tol:
+        if reach > apothem * network.s0_max[i] + DISPATCH_TOL:
             report.append({"kind": "head_overload", "phase": ph,
                            "value": float(reach / apothem * network.s_base_kva),
                            "limit": float(network.s0_max[i] * network.s_base_kva)})

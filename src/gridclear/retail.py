@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from .network import phase_rows
 from .pipeline import ALPHA_TOL, Bins, WpmOutcome, qualification_prices
 
+# a voltage-band dual at or below this counts as zero
+DUAL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class RetailSignal:
@@ -66,13 +69,13 @@ def retail_signals(bins: Bins, outcome: WpmOutcome,
     return signals
 
 
-def congestion_on_feed_path(bins: Bins, der_id: str, tol: float = 1e-9) -> list[dict]:
+def congestion_on_feed_path(bins: Bins, der_id: str) -> list[dict]:
     """Voltage-band duals along a DER's feed path, from its side's bin.
 
     Explains out-of-band retail prices: a nonzero upper dual on the path
     means more export there would push through a binding voltage ceiling,
     a nonzero lower dual means more consumption would sag below the floor.
-    Returns one record per (bus, phase) with a dual above `tol`.
+    Returns one record per (bus, phase) with a dual above DUAL_TOL.
     """
     d = bins.population.by_id(der_id)
     sol = bins.own_bin(d)
@@ -81,7 +84,7 @@ def congestion_on_feed_path(bins: Bins, der_id: str, tol: float = 1e-9) -> list[
     for bus in net.path_to_head(d.bus):
         for ph, r in phase_rows(bus - 1, net.buses[bus].phases):
             up, lo = float(sol.mu_v_upper[r]), float(sol.mu_v_lower[r])
-            if max(up, lo) > tol:
+            if max(up, lo) > DUAL_TOL:
                 records.append({"bus": net.label_of(bus), "phase": ph,
                                 "mu_upper": up, "mu_lower": lo})
     return records

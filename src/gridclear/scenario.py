@@ -25,7 +25,7 @@ from .ders import (
     load_ders,
     population_document,
 )
-from .errors import ConfigError, require_real
+from .errors import ConfigError, read_document, require_real
 from .network import FEEDER_SCHEMA, Network, load_network, voltage_rows
 from .pipeline import (
     AffineLmp,
@@ -39,6 +39,7 @@ from .pipeline import (
     mc_ids,
     naive_quotes,
     qualification_prices,
+    settled_alpha,
     wpm_clear,
 )
 from .retail import retail_signals
@@ -70,60 +71,32 @@ class ScenarioConfig:
 def bundled_feeder(name: str = "ieee123_mod") -> dict:
     """The reference feeder document shipped inside the package."""
     path = resources.files("gridclear").joinpath(f"data/{name}.json")
-    try:
-        with path.open() as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"no bundled feeder named {name!r}") from None
-
-
-def _resolve_document(entry, base_dir: Path, schema: str, what: str) -> dict:
-    if isinstance(entry, str):
-        path = Path(entry)
-        if not path.is_absolute():
-            path = base_dir / path
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"{what} file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
-    elif isinstance(entry, dict):
-        doc = entry
-    else:
-        raise ConfigError(f"{what} must be a path or an inline document")
-    if doc.get("schema") != schema:
-        raise ConfigError(f"{what} document must carry schema {schema!r}")
-    return doc
+    return read_document(path, FEEDER_SCHEMA, f"bundled feeder {name!r}")
 
 
 def load_scenario(source, base_dir=None) -> ScenarioConfig:
-    """Read a scenario document from a path, file object, or dict.
+    """Read a scenario document from a path or a dict.
 
-    Relative feeder / DER paths resolve against the config file's
-    directory (or `base_dir` for inline dicts).
+    Feeder and DER entries are inline documents or paths; relative paths
+    resolve against the scenario file's directory (or `base_dir`, by
+    default the working directory, for a dict).  Every document is read
+    by `read_document`: ConfigError when a file cannot be read or parsed,
+    SchemaError when a document is not an object or carries the wrong
+    schema tag, except a wrong scenario tag, which is a ConfigError.
     """
     if isinstance(source, (str, Path)):
         base = Path(source).resolve().parent
-        try:
-            with open(source) as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"scenario file not found: {source}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario file is not valid JSON: {exc}") from None
     else:
         base = Path(base_dir) if base_dir is not None else Path.cwd()
-        doc = dict(source)
-    if not isinstance(doc, dict) or doc.get("schema") != SCENARIO_SCHEMA:
+    doc = read_document(source, None, "scenario")
+    if doc.get("schema") != SCENARIO_SCHEMA:
         raise ConfigError(f"expected schema {SCENARIO_SCHEMA!r}")
 
     feeder_entry = doc.get("feeder")
     if isinstance(feeder_entry, dict) and "bundled" in feeder_entry:
         feeder = bundled_feeder(str(feeder_entry["bundled"]))
     else:
-        feeder = _resolve_document(feeder_entry, base, FEEDER_SCHEMA, "feeder")
+        feeder = read_document(feeder_entry, FEEDER_SCHEMA, "feeder", base)
 
     ders_entry = doc.get("ders")
     if isinstance(ders_entry, dict) and "generate" in ders_entry:
@@ -132,7 +105,7 @@ def load_scenario(source, base_dir=None) -> ScenarioConfig:
         except TypeError as exc:
             raise ConfigError(f"bad generate spec: {exc}") from None
     else:
-        ders = _resolve_document(ders_entry, base, DERS_SCHEMA, "ders")
+        ders = read_document(ders_entry, DERS_SCHEMA, "ders", base)
 
     market = doc.get("market", {})
     if not isinstance(market, dict):
@@ -204,10 +177,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> ScenarioResult:
     if config.case in _NAIVE_CASES:
         quotes = naive_quotes(bins)
         cleared = wpm_clear(quotes, config.lmp_source, bins.alpha_c)
-        final_alpha = {d.id: 0.0 for d in population.ders}
-        final_alpha.update(cleared.cleared_bids)
-        final_alpha.update(cleared.cleared_offers)
-        outcome = replace(cleared, final_alpha=final_alpha, rectification="naive")
+        outcome = replace(cleared, final_alpha=settled_alpha(population, cleared),
+                          rectification="naive")
     else:
         quotes = make_quotes(bins)
         cleared = wpm_clear(quotes, config.lmp_source, bins.alpha_a, bins.alpha_b)
@@ -299,26 +270,18 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _read_run_file(run_dir: Path, name: str) -> dict:
-    path = run_dir / name
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"run directory is missing {name}") from None
-
-
 def emit_plot_data(run_dir, out_dir=None) -> list[Path]:
     """Flatten a finished run directory into CSV files.
 
     Writes voltages.csv, nqp.csv, curves.csv, retail_compare.csv and
-    returns their paths.
+    returns their paths.  outcome.json and retail.json are read by
+    `read_document` and must carry their schema tags.
     """
     run_dir = Path(run_dir)
+    outcome = read_document(run_dir / "outcome.json", OUTCOME_SCHEMA, "outcome")
+    retail = read_document(run_dir / "retail.json", RETAIL_SCHEMA, "retail")
     out = Path(out_dir) if out_dir is not None else run_dir / "plotdata"
     out.mkdir(parents=True, exist_ok=True)
-    outcome = _read_run_file(run_dir, "outcome.json")
-    retail = _read_run_file(run_dir, "retail.json")
     written = []
 
     def table(name, header, rows):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,14 @@ from gridclear.tdopf import TdopfParams, assemble, solve
 @pytest.fixture(scope="module")
 def net():
     return load_network(bundled_feeder())
+
+
+def test_bundled_document_matches_its_generator():
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_feeder_123.py"
+    spec = importlib.util.spec_from_file_location("make_feeder_123", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.build_document() == bundled_feeder()
 
 
 def test_size_and_head(net):

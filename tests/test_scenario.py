@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gridclear.cli import main
-from gridclear.errors import ConfigError, InfeasibleError
+from gridclear.errors import ConfigError, InfeasibleError, read_document
 from gridclear.scenario import (
     bundled_feeder,
     emit_plot_data,
@@ -74,6 +74,10 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         config = load_scenario(path)
         assert config.lmp_source.intercept == 1.0
+
+    def test_read_document_keeps_a_mapping_as_is(self):
+        doc = mc_feeder_doc()
+        assert read_document(doc, "gridclear-feeder/1", "feeder") is doc
 
     def test_bundled_feeder_available(self):
         doc = bundled_feeder()
@@ -207,6 +211,31 @@ BAD_CONFIGS = {
 }
 
 
+def outcome_bytes(**fields):
+    return json.dumps(dict({"schema": "gridclear-outcome/1"}, **fields)).encode()
+
+
+# (command, file under tmp_path, its bytes or None for a directory): the
+# file replaces one of a valid scenario's files, or of a finished run's
+BAD_FILES = {
+    "feeder-array": ("run", "feeder.json", b"[]"),
+    "ders-array": ("run", "ders.json", b"[]"),
+    "config-is-directory": ("run", "scenario.json", None),
+    "config-not-utf8": ("run", "scenario.json", b'{"schema": "\xff"}'),
+    "alpha-array": ("check", "alpha.json", b"[]"),
+    "final-alpha-list": ("check", "alpha.json", outcome_bytes(final_alpha=[])),
+    "final-alpha-nan": ("check", "alpha.json",
+                        outcome_bytes(final_alpha={"b1": float("nan")})),
+    "final-alpha-string": ("check", "alpha.json",
+                           outcome_bytes(final_alpha={"b1": "abc"})),
+    "final-alpha-unknown-der": ("check", "alpha.json",
+                                outcome_bytes(final_alpha={"x9": 1.0})),
+    "outcome-without-final-alpha": ("check", "alpha.json", outcome_bytes()),
+    "outcome-not-json": ("plot-data", "run/outcome.json", b"{"),
+    "outcome-empty-object": ("plot-data", "run/outcome.json", b"{}"),
+}
+
+
 def test_exports_list_only_carried_phases(tmp_path):
     ders = {"schema": "gridclear-ders/1", "ders": [
         {"id": "b1", "bus": 2, "phases": "b", "side": "bid",
@@ -279,6 +308,25 @@ class TestCli:
         doc.update(override)
         path.write_text(json.dumps(doc))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, content", BAD_FILES.values(),
+                             ids=BAD_FILES.keys())
+    def test_bad_file_exit_code(self, tmp_path, capsys, command, name, content):
+        cfg = write_scenario(tmp_path)
+        if command == "plot-data":
+            assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "run")]) == 0
+        path = tmp_path / name
+        if content is None:
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = {"run": ["run", "-c", str(cfg), "-o", str(tmp_path / "out")],
+                "check": ["check", "-c", str(cfg), "-a", str(path)],
+                "plot-data": ["plot-data", "-r", str(path.parent),
+                              "-o", str(tmp_path / "plot")]}[command]
+        assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_infeasible_feeder_exit_code(self, tmp_path, capsys):

@@ -15,6 +15,9 @@ ampacities.  Run from anywhere; writes src/gridclear/data/ieee123_mod.json.
 
 import json
 import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # ohm/mile, 336,400 26/7 ACSR overhead, used for every three-phase segment
 OH3_R = [
@@ -222,6 +225,7 @@ def build_document():
 def main():
     doc = build_document()
 
+    sys.path.insert(0, str(ROOT / "src"))
     import gridclear
 
     net = gridclear.load_network(doc)
@@ -229,7 +233,7 @@ def main():
     assert abs(kw - TARGET_KW) < 1e-9 and abs(kvar - TARGET_KVAR) < 1e-9, (kw, kvar)
     assert net.label_of(0) == str(HEAD)
 
-    out = pathlib.Path(__file__).resolve().parents[1] / "src" / "gridclear" / "data"
+    out = ROOT / "src" / "gridclear" / "data"
     out.mkdir(parents=True, exist_ok=True)
     path = out / "ieee123_mod.json"
     with open(path, "w") as f:
