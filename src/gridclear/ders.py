@@ -9,6 +9,7 @@ power-factor ratio.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,16 @@ from .network import PHASES, Network, parse_phases, phase_rows
 DERS_SCHEMA = "gridclear-ders/1"
 
 SIDES = ("bid", "offer")
+
+_split_digit_runs = re.compile(r"(\d+)").split
+
+
+def _natural_order(der: "Der") -> tuple:
+    """Sort key of a DER by its id: digit runs compare as integers, so
+    der-999 comes before der-1000; ids that still tie compare as strings."""
+    parts = _split_digit_runs(der.id)
+    parts[1::2] = map(int, parts[1::2])
+    return parts, der.id
 
 
 def reactive_ratio(power_factor: float) -> float:
@@ -84,11 +95,14 @@ def gamma_price(der: Der, big_m: float) -> float:
 class DerPopulation:
     """All DERs participating in one interval, bound to a feeder.
 
-    Built once by `from_ders`, which also fixes where each DER injects:
-    column j of the read-only (3N x n) real scatter holds DER j's signed
-    per-unit volume, split evenly over its phase rows at its bus, and the
-    reactive scatter is that column times the DER's reactive ratio
-    `Der.eta`.  column_of maps each DER id to its column.
+    Built once by `from_ders`, which sorts the DERs by the natural order of
+    their ids (`_natural_order`), so the LP columns, the quotes and every
+    export follow one order whatever the order of the input.  It also
+    fixes where each DER injects: column j of the read-only (3N x n) real
+    scatter holds DER j's signed per-unit volume, split evenly over its
+    phase rows at its bus, and the reactive scatter is that column times
+    the DER's reactive ratio `Der.eta`.  column_of maps each DER id to its
+    column.
     """
 
     ders: tuple[Der, ...]
@@ -102,7 +116,7 @@ class DerPopulation:
 
     @classmethod
     def from_ders(cls, ders, network: Network) -> "DerPopulation":
-        ders = tuple(ders)
+        ders = tuple(sorted(ders, key=_natural_order))
         gp = np.zeros((3 * network.n, len(ders)))
         for j, der in enumerate(ders):
             share = der.volume_kw / (network.s_base_kva * len(der.phases))

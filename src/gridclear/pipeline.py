@@ -160,14 +160,17 @@ def build_bins(network: Network, population: DerPopulation,
     """Run the bids-only, offers-only, and joint acceptance solves.
 
     The joint LP is assembled once; each side bin clamps the other side's
-    DERs to zero in it.
+    DERs to zero in it.  A side bin that clamps nothing, because the other
+    side has no DERs, is the joint LP, and its solution serves as the
+    joint bin's.
     """
     joint = assemble(network, population, params)
     offers_out = {d.id: 0.0 for d in population.ders if d.side == "offer"}
     bids_out = {d.id: 0.0 for d in population.ders if d.side == "bid"}
     sol_a = _require_optimal(solve(clamped(joint, offers_out)), "bids-only")
     sol_b = _require_optimal(solve(clamped(joint, bids_out)), "offers-only")
-    sol_c = _require_optimal(solve(joint), "joint")
+    sol_c = _require_optimal(sol_a if not offers_out else sol_b if not bids_out
+                             else solve(joint), "joint")
     return Bins(network=network, population=population, params=params,
                 problem=joint, sol_a=sol_a, sol_b=sol_b, sol_c=sol_c,
                 alpha_a=dict(sol_a.alpha), alpha_b=dict(sol_b.alpha),
@@ -270,14 +273,13 @@ def resolve_lmp(quotes, lmp_source) -> float:
     where D is the step net-demand curve of the quotes on top of the base
     load.  D is nonincreasing and the supply side increasing, so either one
     constant piece of D contains the fixed point or the curves cross on a
-    vertical segment at a quote price.  Raises DomainError when the supply
-    line gives a price that is not finite.
+    vertical segment at a quote price, which supply on the pieces on either
+    side of it brackets.  Raises DomainError when the supply line gives a
+    price that is not finite.
     """
     if not isinstance(lmp_source, AffineLmp):
         return float(lmp_source)
     a, b, base = lmp_source.intercept, lmp_source.slope, lmp_source.base_load_kw
-    if b == 0.0:
-        return float(a)
 
     def supply(demand_kw: float) -> float:
         pi = a + b * demand_kw
@@ -290,22 +292,20 @@ def resolve_lmp(quotes, lmp_source) -> float:
     if not prices:
         return float(supply(base))
 
-    # probe each open piece of the step curve
-    edges = [prices[0] - 1.0] + prices + [prices[-1] + 1.0]
-    pieces = [(-np.inf, prices[0], edges[0])]
-    for lo, hi in zip(prices, prices[1:]):
-        pieces.append((lo, hi, 0.5 * (lo + hi)))
-    pieces.append((prices[-1], np.inf, edges[-1]))
-    for lo, hi, probe in pieces:
+    # probe each open piece of the step curve; piece k lies below prices[k]
+    bounds = [-np.inf] + prices + [np.inf]
+    probes = [prices[0] - 1.0]
+    probes += [0.5 * (lo + hi) for lo, hi in zip(prices, prices[1:])]
+    probes.append(prices[-1] + 1.0)
+    piece_supply = []
+    for k, probe in enumerate(probes):
         pi = supply(_net_demand(quotes, base, probe))
-        if lo < pi < hi:
+        if bounds[k] < pi < bounds[k + 1]:
             return float(pi)
+        piece_supply.append(pi)
 
     # otherwise the supply line pierces a vertical segment of the demand step
-    eps = 1e-6
-    for bp in prices:
-        above = supply(_net_demand(quotes, base, bp + eps))
-        below = supply(_net_demand(quotes, base, bp - eps))
+    for bp, below, above in zip(prices, piece_supply, piece_supply[1:]):
         if above <= bp + PRICE_TOL and bp <= below + PRICE_TOL:
             return float(bp)
     raise InternalError("no intersection of supply and net demand found")

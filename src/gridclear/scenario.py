@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -25,7 +26,7 @@ from .ders import (
     load_ders,
     population_document,
 )
-from .errors import ConfigError, read_document, require_real
+from .errors import ConfigError, SchemaError, read_document, require_real
 from .network import FEEDER_SCHEMA, Network, load_network, voltage_rows
 from .pipeline import (
     AffineLmp,
@@ -238,8 +239,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> ScenarioResult:
     if output_dir is not None:
         from . import __version__
 
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _output_dir(output_dir)
         for name, doc in documents.items():
             _write_json(out / name, doc)
         kw, kvar = network.total_fixed_load()
@@ -264,10 +264,35 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> ScenarioResult:
                           violations=violations, documents=documents)
 
 
+def _output_dir(path) -> Path:
+    """`path` as a directory, created if missing; ConfigError if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror or exc}") from None
+    return out
+
+
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextmanager
+def _fields_of(what: str, path: Path):
+    """Turn a missing or mistyped field of the run file `path` into a
+    SchemaError."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"{what} file {path} has a missing or mistyped "
+                          f"field: {exc!r}") from None
 
 
 def emit_plot_data(run_dir, out_dir=None) -> list[Path]:
@@ -275,49 +300,52 @@ def emit_plot_data(run_dir, out_dir=None) -> list[Path]:
 
     Writes voltages.csv, nqp.csv, curves.csv, retail_compare.csv and
     returns their paths.  outcome.json and retail.json are read by
-    `read_document` and must carry their schema tags.
+    `read_document` and must carry their schema tags; a field the tables
+    need that is missing or of the wrong type is a SchemaError, raised
+    before anything is written.
     """
     run_dir = Path(run_dir)
-    outcome = read_document(run_dir / "outcome.json", OUTCOME_SCHEMA, "outcome")
-    retail = read_document(run_dir / "retail.json", RETAIL_SCHEMA, "retail")
-    out = Path(out_dir) if out_dir is not None else run_dir / "plotdata"
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    outcome_path, retail_path = run_dir / "outcome.json", run_dir / "retail.json"
+    outcome = read_document(outcome_path, OUTCOME_SCHEMA, "outcome")
+    retail = read_document(retail_path, RETAIL_SCHEMA, "retail")
 
-    def table(name, header, rows):
+    with _fields_of("outcome", outcome_path):
+        voltages = [[r["bus"], r["phase"], r["v_pu"]]
+                    for r in outcome["final_state"]["voltages"]]
+        quotes = [IdsoQuote(der_id=q["der_id"], side=q["side"],
+                            price_cents_per_kwh=q["price_cents_per_kwh"],
+                            quantity_kw=q["quantity_kw"])
+                  for q in outcome["quotes"]]
+        bid_curve, offer_curve = aggregate_curves(quotes)
+        curves = ([["bid", s.price, s.quantity_kw, s.cumulative_kw] for s in bid_curve]
+                  + [["offer", s.price, s.quantity_kw, s.cumulative_kw]
+                     for s in offer_curve])
+    with _fields_of("retail", retail_path):
+        nqp = [[s["der_id"], s["side"], s["stated_price_cents_per_kwh"],
+                s["cutoff_cents_per_kwh"], s["classification"]]
+               for s in retail["signals"]]
+        retail_compare = [[s["der_id"], s["side"], s["classification"],
+                           s["stated_price_cents_per_kwh"], s["price_cents_per_kwh"],
+                           s["quantity_kw"]] for s in retail["signals"]]
+
+    tables = {
+        "voltages.csv": (["bus", "phase", "v_pu"], voltages),
+        "nqp.csv": (["der_id", "side", "stated_price_cents_per_kwh",
+                     "cutoff_cents_per_kwh", "classification"], nqp),
+        "curves.csv": (["side", "price_cents_per_kwh", "quantity_kw",
+                        "cumulative_kw"], curves),
+        "retail_compare.csv": (["der_id", "side", "classification",
+                                "stated_price_cents_per_kwh",
+                                "retail_price_cents_per_kwh", "quantity_kw"],
+                               retail_compare),
+    }
+    out = _output_dir(out_dir if out_dir is not None else run_dir / "plotdata")
+    written = []
+    for name, (header, rows) in tables.items():
         path = out / name
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
         written.append(path)
-
-    table("voltages.csv", ["bus", "phase", "v_pu"],
-          [[r["bus"], r["phase"], r["v_pu"]]
-           for r in outcome["final_state"]["voltages"]])
-
-    table("nqp.csv",
-          ["der_id", "side", "stated_price_cents_per_kwh",
-           "cutoff_cents_per_kwh", "classification"],
-          [[s["der_id"], s["side"], s["stated_price_cents_per_kwh"],
-            s["cutoff_cents_per_kwh"], s["classification"]]
-           for s in retail["signals"]])
-
-    quotes = [IdsoQuote(der_id=q["der_id"], side=q["side"],
-                        price_cents_per_kwh=q["price_cents_per_kwh"],
-                        quantity_kw=q["quantity_kw"])
-              for q in outcome["quotes"]]
-    bid_curve, offer_curve = aggregate_curves(quotes)
-    table("curves.csv", ["side", "price_cents_per_kwh", "quantity_kw",
-                         "cumulative_kw"],
-          [["bid", s.price, s.quantity_kw, s.cumulative_kw] for s in bid_curve]
-          + [["offer", s.price, s.quantity_kw, s.cumulative_kw]
-             for s in offer_curve])
-
-    table("retail_compare.csv",
-          ["der_id", "side", "classification", "stated_price_cents_per_kwh",
-           "retail_price_cents_per_kwh", "quantity_kw"],
-          [[s["der_id"], s["side"], s["classification"],
-            s["stated_price_cents_per_kwh"], s["price_cents_per_kwh"],
-            s["quantity_kw"]] for s in retail["signals"]])
     return written

@@ -22,7 +22,7 @@ from gridclear.pipeline import (
     wpm_clear,
 )
 from gridclear.scenario import load_scenario, run_scenario
-from gridclear.tdopf import TdopfParams, TdopfSolution, assemble
+from gridclear.tdopf import TdopfParams, TdopfSolution, assemble, solve
 
 from conftest import bus_rec, feeder_doc, mc_ders, mc_feeder_doc
 
@@ -75,6 +75,24 @@ class TestBins:
         assert bins.alpha_b["o1"] == pytest.approx(1.0, abs=1e-8)
         assert bins.alpha_mc == {}
         assert mc_ids(bins) == ()
+
+    @pytest.mark.parametrize("side", ["bid", "offer"])
+    def test_one_sided_population_solves_the_joint_lp_once(self, side, monkeypatch):
+        solved = []
+
+        def counting(problem):
+            solved.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(gridclear.pipeline, "solve", counting)
+        net = load_network(mc_feeder_doc())
+        pop = DerPopulation.from_ders(
+            [d for d in mc_ders(offer_price=9.0) if d.side == side], net)
+        bins = build_bins(net, pop, TdopfParams())
+        # the side bin clamps nothing, so it is the joint bin
+        assert len(solved) == 2
+        assert bins.sol_c is (bins.sol_a if side == "bid" else bins.sol_b)
+        assert bins.alpha_mc == {}
 
 
 class TestQuotes:
@@ -143,6 +161,19 @@ class TestClearing:
         ]
         lmp = resolve_lmp(quotes, AffineLmp(intercept=1.0, slope=0.1, base_load_kw=100.0))
         assert lmp == pytest.approx(11.5, abs=1e-9)
+
+    def test_affine_price_between_close_quote_prices(self):
+        # supply reads 10.1 with only b2 cleared and 11.2 with both, so the
+        # fixed point is b2's price, not b1's 5e-7 below it
+        quotes = [
+            IdsoQuote(der_id="b1", side="bid", price_cents_per_kwh=10.0, quantity_kw=-100.0),
+            IdsoQuote(der_id="b2", side="bid", price_cents_per_kwh=10.0000005,
+                      quantity_kw=-100.0),
+        ]
+        outcome = wpm_clear(quotes, AffineLmp(intercept=9.0, slope=0.011),
+                            {"b1": 1.0, "b2": 1.0})
+        assert outcome.lmp == 10.0000005
+        assert set(outcome.cleared_bids) == {"b2"}
 
     def test_affine_with_zero_slope_is_fixed(self):
         lmp = resolve_lmp([], AffineLmp(intercept=13.0, slope=0.0, base_load_kw=500.0))

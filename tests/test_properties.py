@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from gridclear.ders import Der, gamma_price, reactive_ratio
 from gridclear.network import build_matrices, flows_from_injections, load_network
-from gridclear.pipeline import AffineLmp, IdsoQuote, aggregate_curves, resolve_lmp
+from gridclear.pipeline import (
+    PRICE_TOL,
+    AffineLmp,
+    IdsoQuote,
+    _net_demand,
+    aggregate_curves,
+    resolve_lmp,
+)
 from gridclear.tdopf import polygon_coefficients
 
 from conftest import random_tree_doc
@@ -102,6 +109,32 @@ def quote_books(draw):
     return quotes
 
 
+@st.composite
+def close_price_books(draw):
+    """(quotes, anchor): every quote price is the anchor plus 0 to 10 steps
+    of 1e-8, so distinct prices sit within 1e-7 of each other and at least
+    1e-8 apart, well clear of PRICE_TOL."""
+    anchor = round(draw(st.floats(min_value=1.0, max_value=30.0)), 3)
+    quotes = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        side = draw(st.sampled_from(["bid", "offer"]))
+        price = anchor + draw(st.integers(min_value=0, max_value=10)) * 1e-8
+        qty = draw(st.floats(min_value=1.0, max_value=80.0))
+        quotes.append(IdsoQuote(der_id=f"d{i}", side=side, price_cents_per_kwh=price,
+                                quantity_kw=-qty if side == "bid" else qty))
+    return quotes, anchor
+
+
+def piece_probe(lo, hi):
+    """A price inside the open piece (lo, hi) of a step curve; None is an
+    open end."""
+    if lo is None:
+        return hi - 1.0
+    if hi is None:
+        return lo + 1.0
+    return 0.5 * (lo + hi)
+
+
 class TestClearingProperties:
     @given(quote_books())
     @settings(max_examples=150)
@@ -135,3 +168,25 @@ class TestClearingProperties:
         # same book, same model, same price
         again = resolve_lmp(quotes, AffineLmp(intercept=a, slope=b, base_load_kw=base))
         assert again == lmp
+
+    @given(close_price_books(),
+           st.floats(min_value=0.0, max_value=2.0),
+           st.floats(min_value=0.01, max_value=4.0))
+    @settings(max_examples=300)
+    def test_affine_price_is_a_fixed_point_between_close_prices(self, book, below,
+                                                                 swing):
+        quotes, anchor = book
+        a = anchor - below
+        b = swing / sum(abs(q.quantity_kw) for q in quotes)
+        lmp = resolve_lmp(quotes, AffineLmp(intercept=a, slope=b))
+        # supply must meet the step curve: at or below lmp on the open piece
+        # just above it, at or above lmp on the piece just below
+        prices = sorted({q.price_cents_per_kwh for q in quotes})
+        lo = max((p for p in prices if p < lmp), default=None)
+        hi = min((p for p in prices if p > lmp), default=None)
+        if lmp in prices:
+            probe_below, probe_above = piece_probe(lo, lmp), piece_probe(lmp, hi)
+        else:
+            probe_below = probe_above = piece_probe(lo, hi)
+        assert a + b * _net_demand(quotes, 0.0, probe_above) <= lmp + PRICE_TOL
+        assert lmp <= a + b * _net_demand(quotes, 0.0, probe_below) + PRICE_TOL

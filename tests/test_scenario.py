@@ -1,10 +1,15 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridclear.cli import main
+from gridclear.ders import GenerationSpec, generate_population, population_document
 from gridclear.errors import ConfigError, InfeasibleError, read_document
+from gridclear.network import load_network
 from gridclear.scenario import (
     bundled_feeder,
     emit_plot_data,
@@ -233,6 +238,13 @@ BAD_FILES = {
     "outcome-without-final-alpha": ("check", "alpha.json", outcome_bytes()),
     "outcome-not-json": ("plot-data", "run/outcome.json", b"{"),
     "outcome-empty-object": ("plot-data", "run/outcome.json", b"{}"),
+    "output-dir-is-file": ("run", "out", b""),
+    "outcome-without-final-state": ("plot-data", "run/outcome.json",
+                                    outcome_bytes(quotes=[])),
+    "outcome-without-quotes": ("plot-data", "run/outcome.json",
+                               outcome_bytes(final_state={"voltages": []})),
+    "retail-without-signals": ("plot-data", "run/retail.json",
+                               json.dumps({"schema": "gridclear-retail/1"}).encode()),
 }
 
 
@@ -329,6 +341,32 @@ class TestCli:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_generate_ders_into_a_directory_exit_code(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["ders"] = {"generate": {"n_bids": 3, "n_offers": 2, "seed": 5}}
+        path.write_text(json.dumps(doc))
+        assert main(["generate-ders", "-c", str(path), "-o", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_plot_data_checks_every_file_before_writing(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path)
+        run = tmp_path / "run"
+        assert main(["run", "-c", str(cfg), "-o", str(run)]) == 0
+        (run / "retail.json").write_text(json.dumps({"schema": "gridclear-retail/1"}))
+        plot = tmp_path / "plot"
+        assert main(["plot-data", "-r", str(run), "-o", str(plot)]) == 2
+        assert "retail.json" in capsys.readouterr().err
+        assert not plot.exists()
+
+    def test_plot_data_into_a_file_exit_code(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path)
+        run = tmp_path / "run"
+        assert main(["run", "-c", str(cfg), "-o", str(run)]) == 0
+        (tmp_path / "plot").write_text("")
+        assert main(["plot-data", "-r", str(run), "-o", str(tmp_path / "plot")]) == 2
+        assert str(tmp_path / "plot") in capsys.readouterr().err
+
     def test_infeasible_feeder_exit_code(self, tmp_path, capsys):
         feeder = mc_feeder_doc()
         feeder["buses"][2]["fixed_p_kw"] = {"a": -700.0}
@@ -342,3 +380,50 @@ def test_run_without_output_dir_writes_nothing(tmp_path):
     result = run_scenario(config)
     assert "manifest.json" not in result.documents
     assert not (Path.cwd() / "gridclear-out").exists()
+
+
+def exported_bytes(scenario: dict) -> dict:
+    """Every file `run_scenario` exports for `scenario` except the
+    timestamped manifest, by name."""
+    with tempfile.TemporaryDirectory() as out:
+        run_scenario(load_scenario(scenario), out)
+        return {p.name: p.read_bytes() for p in Path(out).iterdir()
+                if p.name != "manifest.json"}
+
+
+def ders_scenario(feeder: dict, records: list, lmp) -> dict:
+    return {"schema": "gridclear-scenario/1", "feeder": feeder,
+            "ders": {"schema": "gridclear-ders/1", "ders": records},
+            "market": {"m_cents_per_kwh": 2.5, "lmp": lmp}}
+
+
+# bids and offers at the end of the single-phase path, each side at one
+# shared price and with more volume than the voltage band lets through, so
+# the acceptance LPs have many optimal vertices
+TIED_DERS = [{"id": f"{side[0]}{i}", "bus": 2, "phases": "a", "side": side,
+              "price_cents_per_kwh": price, "volume_kw": 30.0, "power_factor": 0.9}
+             for side, price in (("bid", 16.0), ("offer", 9.0)) for i in range(1, 5)]
+
+
+class TestDerOrder:
+    @given(st.permutations(TIED_DERS))
+    @settings(max_examples=15, deadline=None)
+    def test_tied_prices_export_the_same_bytes_in_any_order(self, records):
+        feeder = mc_feeder_doc()
+        assert (exported_bytes(ders_scenario(feeder, records, 13.0))
+                == exported_bytes(ders_scenario(feeder, TIED_DERS, 13.0)))
+
+    def test_reversed_crowd_exports_the_same_bytes(self):
+        # the first 300 DERs (all bids) of a 1200-DER population on the
+        # reference feeder, prices rounded to whole cents so that many tie
+        feeder = bundled_feeder()
+        network = load_network(feeder)
+        spec = GenerationSpec(n_bids=600, n_offers=600, seed=1826701615)
+        records = population_document(generate_population(spec, network),
+                                      network)["ders"][:300]
+        for rec in records:
+            rec["price_cents_per_kwh"] = float(round(rec["price_cents_per_kwh"]))
+            rec["volume_kw"] = 20.0
+        lmp = {"intercept": 8.0, "slope": 0.004, "base_load_kw": 1347.5}
+        assert (exported_bytes(ders_scenario(feeder, records[::-1], lmp))
+                == exported_bytes(ders_scenario(feeder, records, lmp)))
