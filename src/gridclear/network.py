@@ -9,7 +9,8 @@ A feeder with N non-head buses is described by stacked per-phase vectors of
 length 3N.  Row 3*(i-1) + phi holds bus i, phase phi (phi = 0, 1, 2 for
 a, b, c); the same layout indexes lines, where line l feeds bus l + 1 after
 canonical ordering.  `phase_rows`, `Network.bus_rows` and
-`Network.line_rows` are the way other modules reach those rows.
+`Network.line_rows` are the way other modules reach those rows, and
+`Network.carried_rows` holds the rows those two yield as index arrays.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ class Line:
 class Network:
     """A validated radial feeder in canonical ordering.
 
-    `matrices` and `voltage_block` are built from the feeder on first use
-    and kept for the life of the object, so a `Network` must not be
-    mutated (its buses, lines or their arrays) once either has been read.
+    `matrices`, `voltage_block` and `carried_rows` are built from the
+    feeder on first use and kept for the life of the object, so a
+    `Network` must not be mutated (its buses, lines or their arrays) once
+    any of them has been read.
 
     Attributes
     ----------
@@ -133,7 +135,8 @@ class Network:
 
     @cached_property
     def voltage_block(self) -> sparse.csr_array:
-        """Voltage-box rows of the acceptance LP over the flow columns [P, Q].
+        """Voltage-box rows over every flow slot [P, Q] of the 3N layout; the
+        acceptance LP keeps the rows and columns of `carried_rows`.
 
         Canonical CSR of shape (2*3N, 2*3N): the upper-limit rows
         2 c_inv [D_r D_x], then the lower-limit rows, their negation.  It
@@ -191,6 +194,16 @@ class Network:
         for line in self.lines:
             for phase, row in phase_rows(line.index, line.phases):
                 yield line, phase, row
+
+    @cached_property
+    def carried_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bus, line) rows of the 3N layout, ascending: those of `bus_rows`
+        and of `line_rows`.  The acceptance LP is built over these alone."""
+        bus = np.array([row for _, _, row in self.bus_rows()], dtype=np.intp)
+        line = np.array([row for _, _, row in self.line_rows()], dtype=np.intp)
+        bus.setflags(write=False)
+        line.setflags(write=False)
+        return bus, line
 
     def path_to_head(self, bus: int) -> list[int]:
         """Bus indices from `bus` up to (excluding) the head."""

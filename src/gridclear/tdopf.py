@@ -6,15 +6,26 @@ equations, voltage box, and polygonal apparent-power limits?  The duals of
 the balance rows are nodal prices per phase; from them each DER gets a
 qualification price, the cutoff at which it would just have been accepted.
 
+The LP is built over carried phases only, the rows of the 3N layout that
+`Network.carried_rows` lists: a flow on a phase no line carries, and a
+balance or voltage on a phase no bus carries, has no column or row.  Such
+a balance row would be empty, and such a voltage row a copy of an
+ancestor's, since impedances are zero on absent phases.  On the bundled
+123-bus feeder with 55 DERs this takes a joint LP from 5940 x 793 to
+4132 x 567.  `solve` writes flows and duals back into the 3N layout, zero
+on the rows left out, so `TdopfSolution` and everything read from it keep
+their shape.
+
 The LP's blocks are named where `assemble` stacks them, and nowhere else.
-Columns are `alpha` (one per DER), `p` and `q` (3N line flows each), kept
-as slices in `TdopfProblem.cols`.  Inequality rows are the families
-`voltage_box` (upper, then lower), `line_polygon` (E blocks of 3N) and
+Columns are `alpha` (one per DER), `p` and `q` (one flow per carried line
+phase each), kept as slices in `TdopfProblem.cols`.  Inequality rows are
+the families `voltage_box` (upper, then lower, one row per carried bus
+phase each), `line_polygon` (E blocks, one row per carried line phase) and
 `substation_polygon` (E blocks of 3), kept as slices in
 `TdopfProblem.ub_rows`; `solve`, `kkt_residuals` and the infeasibility
-probes read both tables by name.  Equality rows are the per-phase balances
-written as C'P - p_der = p_fixed (then the same for reactive), optionally
-followed by one zero-net-volume coupling row.
+probes read both tables by name.  Equality rows are the balances of the
+carried bus phases written as C'P - p_der = p_fixed (then the same for
+reactive), optionally followed by one zero-net-volume coupling row.
 
 Both constraint matrices are assembled as canonical CSR (sorted indices,
 no stored zeros), block by block from the feeder's cached matrices, and
@@ -50,6 +61,8 @@ from .network import (
 
 logger = logging.getLogger("gridclear")
 
+MAX_POLYGON_EDGES = 360  # largest TdopfParams.polygon_edges
+
 
 def polygon_coefficients(edges: int):
     """Half-plane coefficients of the inscribed regular polygon.
@@ -75,7 +88,10 @@ class TdopfParams:
     m_cents_per_kwh is the IDSO's network charge per kWh moved through the
     head; big_m_cents is the acceptance subsidy that makes grid-feasible
     offers preferred regardless of stated price.  Apparent-power limits are
-    the regular polygon with polygon_edges sides inscribed in each disc.
+    the regular polygon with polygon_edges sides inscribed in each disc,
+    3 to MAX_POLYGON_EDGES of them: each edge is one LP row per carried line
+    phase, and at the maximum the polygon's apothem is cos(pi / 360) of the
+    disc's radius.
     """
 
     m_cents_per_kwh: float = 2.5
@@ -88,6 +104,9 @@ class TdopfParams:
         require_real("market.delta_t_hours", self.delta_t_hours, positive=True)
         require_real("market.big_m_cents", self.big_m_cents)
         require_int("market.polygon_edges", self.polygon_edges, 3)
+        if self.polygon_edges > MAX_POLYGON_EDGES:
+            raise DomainError(f"market.polygon_edges must be at most {MAX_POLYGON_EDGES}, "
+                              f"got {self.polygon_edges!r}")
 
     def polygon(self):
         """(beta, delta, gamma) of the regular polygon; see polygon_coefficients."""
@@ -104,7 +123,8 @@ class TdopfProblem:
     on every access, for inspection and size reports.  `ub_rows` maps each
     inequality family to its row slice, and `cols` each column block to
     its column slice; clamped DERs are those whose bounds are equal.  The
-    polygon and the DER scatter are read from `params` and `population`.
+    polygon and the DER scatter are read from `params` and `population`,
+    the carried rows from `network.carried_rows`.
     """
 
     network: Network
@@ -142,14 +162,22 @@ def _stacked(heights: dict) -> dict:
 
 
 def _column_blocks(network: Network, population: DerPopulation) -> dict:
-    n3 = 3 * network.n
-    return _stacked({"alpha": population.n, "p": n3, "q": n3})
+    flows = len(network.carried_rows[1])
+    return _stacked({"alpha": population.n, "p": flows, "q": flows})
 
 
 def _dense_view(a: sparse.csr_array) -> np.ndarray:
     dense = a.toarray()
     dense.setflags(write=False)
     return dense
+
+
+def _spread(values: np.ndarray, rows: np.ndarray, n3: int) -> np.ndarray:
+    """`values`, indexed by the carried `rows` along the last axis, written
+    into the 3N layout with zeros on the rows no phase carries."""
+    out = np.zeros(values.shape[:-1] + (n3,))
+    out[..., rows] = values
+    return out
 
 
 def _canonical(a) -> sparse.csr_array:
@@ -163,11 +191,14 @@ def _canonical(a) -> sparse.csr_array:
 class TdopfSolution:
     """Primal and dual outcome of one acceptance solve.
 
-    Multipliers carry the sign convention of the optimality identities:
-    lambda_p / lambda_q are the balance-row prices (cents per unit power per
-    interval), the mu families are nonnegative, alpha_lo / alpha_up are the
-    acceptance-bound multipliers, and z_p / z_q are the bound duals of
-    pinned absent-phase flow entries (zero elsewhere).
+    Flows, voltages and the balance, voltage and line multipliers are in
+    the 3N layout of `network`, zero on the rows the LP leaves out (phases
+    no bus or line carries).  Multipliers carry the sign convention of the
+    optimality identities: lambda_p / lambda_q are the balance-row prices
+    (cents per unit power per interval), the mu families are nonnegative,
+    and alpha_lo / alpha_up are the acceptance-bound multipliers.  Where
+    the LP is dual-degenerate the multipliers are one optimal set of
+    several, and so are the cutoffs read from them.
     """
 
     status: str
@@ -186,8 +217,6 @@ class TdopfSolution:
     mu_sub: np.ndarray | None = None
     alpha_lo: np.ndarray | None = None
     alpha_up: np.ndarray | None = None
-    z_p: np.ndarray | None = None
-    z_q: np.ndarray | None = None
     objective_cents: float | None = None
     infeasibility_hint: tuple = ()
     message: str = ""
@@ -212,27 +241,31 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     matrices = network.matrices
     n = population.n
     n3 = 3 * network.n
+    bus, line = network.carried_rows
     cols = _column_blocks(network, population)
 
     p_f, q_f = network.fixed_injections()
     beta, delta, gamma = params.polygon()
 
-    c_t = sparse.csr_array(matrices.c.T)
+    # C' is kron(T', I3): built from the bus-level tree, it skips a scan of dense 3N x 3N c
+    c_t = sparse.kron(sparse.csr_array(matrices.c[::3, ::3].T), sparse.eye_array(3),
+                      format="csr")[bus][:, line]
     a_eq = _canonical(sparse.block_array([
-        [sparse.csr_array(-population.scatter_p()), c_t, None],
-        [sparse.csr_array(-population.scatter_q()), None, c_t]]))
-    b_eq = np.concatenate([p_f, q_f])
+        [sparse.csr_array(-population.scatter_p()[bus]), c_t, None],
+        [sparse.csr_array(-population.scatter_q()[bus]), None, c_t]]))
+    b_eq = np.concatenate([p_f[bus], q_f[bus]])
 
     # inequality families over the flow columns, as (rows, right-hand side)
-    s_line = np.concatenate([line.s_max for line in network.lines])
+    s_line = np.concatenate([branch.s_max for branch in network.lines])[line]
     edge_pq = np.column_stack([beta, delta])  # row e: [beta_e, delta_e]
+    voltage = network.voltage_block[np.concatenate([bus, n3 + bus])]
     families = {
-        "voltage_box": (network.voltage_block,
-                        np.concatenate([np.full(n3, network.v_max - network.v0),
-                                        np.full(n3, network.v0 - network.v_min)])),
-        "line_polygon": (sparse.kron(edge_pq, sparse.eye_array(n3)),
+        "voltage_box": (voltage[:, np.concatenate([line, n3 + line])],
+                        np.concatenate([np.full(len(bus), network.v_max - network.v0),
+                                        np.full(len(bus), network.v0 - network.v_min)])),
+        "line_polygon": (sparse.kron(edge_pq, sparse.eye_array(len(line))),
                          np.outer(-gamma, s_line).ravel()),
-        "substation_polygon": (sparse.kron(edge_pq, sparse.csr_array(matrices.c0.T)),
+        "substation_polygon": (sparse.kron(edge_pq, sparse.csr_array(matrices.c0.T[:, line])),
                                np.outer(-gamma, network.s0_max).ravel()),
     }
     flow_rows = sparse.vstack([rows for rows, _ in families.values()])
@@ -240,20 +273,15 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     b_ub = np.concatenate([rhs for _, rhs in families.values()])
 
     scale = network.s_base_kva * params.delta_t_hours
-    c = np.zeros(n + 2 * n3)
+    c = np.zeros(n + 2 * len(line))
     c[cols["alpha"]] = [gamma_price(der, params.big_m_cents) * der.volume_kw
                         * params.delta_t_hours for der in population.ders]
-    c[cols["p"]] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))
-
-    # flows on phases a line does not carry are pinned at zero
-    flow_bounds = [(0.0, 0.0)] * n3
-    for _, _, row in network.line_rows():
-        flow_bounds[row] = (None, None)
+    c[cols["p"]] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))[line]
 
     joint = TdopfProblem(
         network=network, population=population, params=params, zero_net_volume=(),
         c=c, a_eq_csr=a_eq, b_eq=b_eq, a_ub_csr=a_ub, b_ub=b_ub,
-        bounds=[(0.0, 1.0)] * n + flow_bounds * 2,  # alpha, p, q
+        bounds=[(0.0, 1.0)] * n + [(None, None)] * (2 * len(line)),  # alpha, p, q
         ub_rows=_stacked({name: len(rhs) for name, (_, rhs) in families.items()}),
     )
     return clamped(joint, clamp or {}, zero_net_volume)
@@ -328,17 +356,18 @@ def solve(problem: TdopfProblem) -> TdopfSolution:
                              message=res.message, iterations=res.nit)
 
     cols, rows = problem.cols, problem.ub_rows
+    net = problem.network
+    bus, line = net.carried_rows
+    n3 = 3 * net.n
     x = res.x
     alpha = {der.id: float(a) for der, a in zip(problem.population.ders, x[cols["alpha"]])}
-    p_flow, q_flow = x[cols["p"]], x[cols["q"]]
-    n3 = len(p_flow)
-    m = problem.network.matrices
-    v = lindistflow_voltages(m, problem.network.v0, p_flow, q_flow)
-    p0, q0 = head_injection(m, p_flow, q_flow)
+    p_flow, q_flow = _spread(x[cols["p"]], line, n3), _spread(x[cols["q"]], line, n3)
+    v = lindistflow_voltages(net.matrices, net.v0, p_flow, q_flow)
+    p0, q0 = head_injection(net.matrices, p_flow, q_flow)
 
     lam = res.eq_marginals
     mu = -res.ub_marginals  # nonnegative in the identity convention
-    mu_v_upper, mu_v_lower = mu[rows["voltage_box"]].reshape(-1, n3)
+    mu_v_upper, mu_v_lower = _spread(mu[rows["voltage_box"]].reshape(2, -1), bus, n3)
     lower = res.lower_marginals
     upper = res.upper_marginals
 
@@ -346,14 +375,13 @@ def solve(problem: TdopfProblem) -> TdopfSolution:
         status="optimal",
         alpha=alpha,
         p_flow=p_flow, q_flow=q_flow, v=v, p0=p0, q0=q0,
-        lambda_p=lam[0:n3], lambda_q=lam[n3:2 * n3],
+        lambda_p=_spread(lam[:len(bus)], bus, n3),
+        lambda_q=_spread(lam[len(bus):2 * len(bus)], bus, n3),
         lambda_net_volume=float(lam[-1]) if problem.zero_net_volume else 0.0,
         mu_v_upper=mu_v_upper, mu_v_lower=mu_v_lower,
-        mu_line=mu[rows["line_polygon"]].reshape(-1, n3),
+        mu_line=_spread(mu[rows["line_polygon"]].reshape(-1, len(line)), line, n3),
         mu_sub=mu[rows["substation_polygon"]].reshape(-1, 3),
         alpha_lo=lower[cols["alpha"]], alpha_up=-upper[cols["alpha"]],
-        z_p=lower[cols["p"]] + upper[cols["p"]],
-        z_q=lower[cols["q"]] + upper[cols["q"]],
         objective_cents=res.fun,
         message=res.message,
         iterations=res.nit,
@@ -365,8 +393,10 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
 
     Returns a dict of sup-norm residuals, each divided by the largest
     magnitude among the terms entering its identity (floored at 1):
-    primal feasibility, the three stationarity identities (flow-real,
-    flow-reactive, acceptance), complementary slackness, and dual signs.
+    primal feasibility, the three stationarity identities (flow-real and
+    flow-reactive over the carried line phases, acceptance), complementary
+    slackness, and dual signs.  `solution` is read in the 3N layout, so a
+    solution of the same LP written over every 3N slot is checked as well.
     Raises StateError unless the solution is optimal.
     """
     if solution.status != "optimal":
@@ -376,10 +406,11 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
     params = problem.params
     pop = problem.population
     cols, rows = problem.cols, problem.ub_rows
+    bus, line = net.carried_rows
     n = pop.n
     x = np.empty(len(problem.c))
     x[cols["alpha"]] = [solution.alpha[d.id] for d in pop.ders]
-    x[cols["p"]], x[cols["q"]] = solution.p_flow, solution.q_flow
+    x[cols["p"]], x[cols["q"]] = solution.p_flow[line], solution.q_flow[line]
 
     out = {}
     r_eq = problem.a_eq_csr @ x - problem.b_eq
@@ -387,27 +418,26 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
     slack = problem.b_ub - problem.a_ub_csr @ x
     out["primal_ineq"] = max(0.0, float(np.max(-slack))) / max(1.0, np.max(np.abs(problem.b_ub)))
 
+    # flow stationarity, written in the 3N layout and read on the carried flows
     scale_kwh = net.s_base_kva * params.delta_t_hours
-    grad_p = params.m_cents_per_kwh * scale_kwh * (m.c0 @ np.ones(3))
+    grad_p = (params.m_cents_per_kwh * scale_kwh * (m.c0 @ np.ones(3)))[line]
     dmu_v = solution.mu_v_upper - solution.mu_v_lower
-    volt_p = 2.0 * m.d_r.T @ (m.c_inv.T @ dmu_v)
-    volt_q = 2.0 * m.d_x.T @ (m.c_inv.T @ dmu_v)
+    volt_p = (2.0 * m.d_r.T @ (m.c_inv.T @ dmu_v))[line]
+    volt_q = (2.0 * m.d_x.T @ (m.c_inv.T @ dmu_v))[line]
     beta, delta, _ = params.polygon()
-    line_p = beta @ solution.mu_line
-    line_q = delta @ solution.mu_line
-    sub_p = m.c0 @ (beta @ solution.mu_sub)
-    sub_q = m.c0 @ (delta @ solution.mu_sub)
+    line_p = (beta @ solution.mu_line)[line]
+    line_q = (delta @ solution.mu_line)[line]
+    sub_p = (m.c0 @ (beta @ solution.mu_sub))[line]
+    sub_q = (m.c0 @ (delta @ solution.mu_sub))[line]
 
-    lhs_p = m.c @ solution.lambda_p
-    rhs_p = grad_p + volt_p + line_p + sub_p - solution.z_p
-    scale_p = max(1.0, *(np.max(np.abs(t)) for t in
-                         (lhs_p, grad_p, volt_p, line_p, sub_p, solution.z_p)))
+    lhs_p = (m.c @ solution.lambda_p)[line]
+    rhs_p = grad_p + volt_p + line_p + sub_p
+    scale_p = max(1.0, *(np.max(np.abs(t)) for t in (lhs_p, grad_p, volt_p, line_p, sub_p)))
     out["stationarity_p"] = np.max(np.abs(lhs_p - rhs_p)) / scale_p
 
-    lhs_q = m.c @ solution.lambda_q
-    rhs_q = volt_q + line_q + sub_q - solution.z_q
-    scale_q = max(1.0, *(np.max(np.abs(t)) for t in
-                         (lhs_q, volt_q, line_q, sub_q, solution.z_q)))
+    lhs_q = (m.c @ solution.lambda_q)[line]
+    rhs_q = volt_q + line_q + sub_q
+    scale_q = max(1.0, *(np.max(np.abs(t)) for t in (lhs_q, volt_q, line_q, sub_q)))
     out["stationarity_q"] = np.max(np.abs(lhs_q - rhs_q)) / scale_q
 
     if n:
@@ -428,8 +458,9 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
         out["stationarity_alpha"] = 0.0
 
     mu = np.empty(len(problem.b_ub))
-    mu[rows["voltage_box"]] = np.concatenate([solution.mu_v_upper, solution.mu_v_lower])
-    mu[rows["line_polygon"]] = solution.mu_line.ravel()
+    mu[rows["voltage_box"]] = np.concatenate([solution.mu_v_upper[bus],
+                                              solution.mu_v_lower[bus]])
+    mu[rows["line_polygon"]] = solution.mu_line[:, line].ravel()
     mu[rows["substation_polygon"]] = solution.mu_sub.ravel()
     mu_scale = max(1.0, np.max(mu, initial=0.0))
     out["comp_slack_rows"] = np.max(np.abs(mu * slack), initial=0.0) / mu_scale

@@ -194,6 +194,8 @@ BAD_CONFIGS = {
     "price-overflow": {"market": {"lmp": {"intercept": 8.0, "slope": 1e308,
                                           "base_load_kw": 1e10}}},
     "negative-slope": {"market": {"lmp": {"intercept": 8.0, "slope": -0.004}}},
+    "polygon-edges-huge": {"market": {"m_cents_per_kwh": 2.5, "lmp": 13.0,
+                                      "polygon_edges": 10**6}},
     "volume-as-string": der_edit(volume_kw="abc"),
     "volume-null": der_edit(volume_kw=None),
     "volume-nan": der_edit(volume_kw=float("nan")),

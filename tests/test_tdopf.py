@@ -2,13 +2,20 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import sparse
+
+from gridclear._lp import solve_lp
 
 from gridclear.ders import Der, DerPopulation, GenerationSpec, generate_population, reactive_ratio
 from gridclear.errors import DomainError, SchemaError, StateError
 from gridclear.network import build_matrices, load_network
 from gridclear.tdopf import (
+    MAX_POLYGON_EDGES,
     TdopfParams,
+    TdopfSolution,
     assemble,
     clamped,
     kkt_residuals,
@@ -19,7 +26,7 @@ from gridclear.tdopf import (
 )
 from gridclear.scenario import bundled_feeder
 
-from conftest import bus_rec, feeder_doc, line_rec
+from conftest import R_OHM_MILE, X_OHM_MILE, bus_rec, feeder_doc, line_rec
 
 
 def pop_of(net, ders):
@@ -78,6 +85,12 @@ class TestPolygonCoefficients:
     def test_too_few_edges(self):
         with pytest.raises(DomainError):
             polygon_coefficients(2)
+
+    def test_edge_count_is_bounded(self):
+        assert TdopfParams(polygon_edges=MAX_POLYGON_EDGES).polygon_edges == 360
+        for edges in (MAX_POLYGON_EDGES + 1, 10**6):
+            with pytest.raises(DomainError, match="at most 360"):
+                TdopfParams(polygon_edges=edges)
 
 
 @pytest.fixture
@@ -345,12 +358,13 @@ class TestNetVolumeCoupling:
 
 
 def dense_layout_oracle(net, pop, params, zero_net_volume=()):
-    """The constraint matrices written out dense, block by block, from a
-    fresh `build_matrices`: a_ub = voltage rows, line-polygon rows, head
-    rows; a_eq = real and reactive balances, then the volume row."""
+    """The constraint matrices over every 3N flow slot written out dense,
+    block by block, from a fresh `build_matrices`: a_ub = voltage rows,
+    line-polygon rows, head rows; a_eq = real and reactive balances, then
+    the volume row.  Returns (a_ub, b_ub, a_eq, b_eq)."""
     m = build_matrices(net)
     n, n3 = pop.n, 3 * net.n
-    beta, delta, _ = params.polygon()
+    beta, delta, gamma = params.polygon()
     edges = len(beta)
     sl_a, sl_p, sl_q = slice(0, n), slice(n, n + n3), slice(n + n3, n + 2 * n3)
     a_eq = np.zeros((2 * n3 + (1 if zero_net_volume else 0), n + 2 * n3))
@@ -361,11 +375,15 @@ def dense_layout_oracle(net, pop, params, zero_net_volume=()):
     for der_id in zero_net_volume:
         j = pop.column_of[der_id]
         a_eq[-1, j] = pop.ders[j].volume_kw
+    p_f, q_f = net.fixed_injections()
+    b_eq = np.concatenate([p_f, q_f, [0.0] if zero_net_volume else []])
     mv_p = 2.0 * m.c_inv @ m.d_r
     mv_q = 2.0 * m.c_inv @ m.d_x
     a_ub = np.zeros((2 * n3 + edges * n3 + edges * 3, n + 2 * n3))
     a_ub[0:n3, sl_p], a_ub[0:n3, sl_q] = mv_p, mv_q
     a_ub[n3:2 * n3, sl_p], a_ub[n3:2 * n3, sl_q] = -mv_p, -mv_q
+    s_line = np.concatenate([line.s_max for line in net.lines])
+    b_ub = [np.full(n3, net.v_max - net.v0), np.full(n3, net.v0 - net.v_min)]
     for e in range(edges):
         rows = slice(2 * n3 + e * n3, 2 * n3 + (e + 1) * n3)
         a_ub[rows, sl_p] = beta[e] * np.eye(n3)
@@ -373,7 +391,26 @@ def dense_layout_oracle(net, pop, params, zero_net_volume=()):
         head = slice(2 * n3 + edges * n3 + 3 * e, 2 * n3 + edges * n3 + 3 * (e + 1))
         a_ub[head, sl_p] = beta[e] * m.c0.T
         a_ub[head, sl_q] = delta[e] * m.c0.T
-    return a_ub, a_eq
+        b_ub.append(-gamma[e] * s_line)
+    b_ub.extend(-gamma[e] * net.s0_max for e in range(edges))
+    return a_ub, np.concatenate(b_ub), a_eq, b_eq
+
+
+def carried_layout(net, pop, params, zero_net_volume=()):
+    """Indices of the rows and columns of `dense_layout_oracle` that the
+    LP keeps, as (ub_rows, eq_rows, columns): the balance and voltage rows
+    of the phases each bus carries, the line-polygon rows and flow columns
+    of the phases each line carries, every head row and DER column."""
+    n, n3 = pop.n, 3 * net.n
+    bus = np.array([row for _, _, row in net.bus_rows()])
+    line = np.array([row for _, _, row in net.line_rows()])
+    edges = params.polygon_edges
+    ub_rows = np.concatenate([bus, n3 + bus]
+                             + [(2 + e) * n3 + line for e in range(edges)]
+                             + [np.arange((2 + edges) * n3, (2 + edges) * n3 + 3 * edges)])
+    eq_rows = np.concatenate([bus, n3 + bus] + ([[2 * n3]] if zero_net_volume else []))
+    columns = np.concatenate([np.arange(n), n + line, n + n3 + line])
+    return ub_rows, eq_rows, columns
 
 
 class TestSparseAssembly:
@@ -407,9 +444,12 @@ class TestSparseAssembly:
         net, pop = lateral
         params = TdopfParams()
         prob = assemble(net, pop, params, clamp=clamp, zero_net_volume=zero_net_volume)
-        a_ub, a_eq = dense_layout_oracle(net, pop, params, zero_net_volume)
-        assert np.array_equal(prob.a_ub, a_ub)
-        assert np.array_equal(prob.a_eq, a_eq)
+        a_ub, b_ub, a_eq, b_eq = dense_layout_oracle(net, pop, params, zero_net_volume)
+        ub_rows, eq_rows, columns = carried_layout(net, pop, params, zero_net_volume)
+        assert np.array_equal(prob.a_ub, a_ub[np.ix_(ub_rows, columns)])
+        assert np.array_equal(prob.a_eq, a_eq[np.ix_(eq_rows, columns)])
+        assert np.array_equal(prob.b_ub, b_ub[ub_rows])
+        assert np.array_equal(prob.b_eq, b_eq[eq_rows])
         for a in (prob.a_ub_csr, prob.a_eq_csr):
             # canonical CSR is what csr_array makes of the dense matrix
             assert a.has_canonical_format
@@ -418,14 +458,43 @@ class TestSparseAssembly:
     def test_named_blocks_tile_the_lp(self, lateral):
         net, pop = lateral
         prob = assemble(net, pop, TdopfParams(polygon_edges=8))
-        n, n3 = pop.n, 3 * net.n
-        assert prob.cols == {"alpha": slice(0, n), "p": slice(n, n + n3),
-                             "q": slice(n + n3, n + 2 * n3)}
-        assert prob.ub_rows == {"voltage_box": slice(0, 2 * n3),
-                                "line_polygon": slice(2 * n3, 10 * n3),
-                                "substation_polygon": slice(10 * n3, 10 * n3 + 24)}
-        assert prob.a_ub_csr.shape == (10 * n3 + 24, n + 2 * n3)
+        # 7 of the 9 bus and line phases are carried: abc, c, abc
+        n, flows = pop.n, 7
+        assert prob.cols == {"alpha": slice(0, n), "p": slice(n, n + flows),
+                             "q": slice(n + flows, n + 2 * flows)}
+        assert prob.ub_rows == {"voltage_box": slice(0, 14),
+                                "line_polygon": slice(14, 14 + 8 * flows),
+                                "substation_polygon": slice(70, 94)}
+        assert prob.a_ub_csr.shape == (94, n + 2 * flows)
+        assert prob.a_eq_csr.shape == (14, n + 2 * flows)
+        assert prob.bounds[n:] == [(None, None)] * (2 * flows)
 
+    @pytest.mark.parametrize("feeder", ["lateral", "bundled"])
+    def test_dropped_rows_are_redundant(self, lateral, feeder):
+        """Every row left out once the absent-phase flow columns are gone is
+        empty with a feasible right-hand side, or a kept row again."""
+        if feeder == "lateral":
+            net, pop = lateral
+        else:
+            net = load_network(bundled_feeder())
+            pop = generate_population(GenerationSpec(n_bids=8, n_offers=4, seed=3), net)
+        params = TdopfParams()
+        a_ub, b_ub, a_eq, b_eq = dense_layout_oracle(net, pop, params)
+        ub_rows, eq_rows, columns = carried_layout(net, pop, params)
+        dropped_columns = np.setdiff1d(np.arange(a_ub.shape[1]), columns)
+        assert len(dropped_columns) == (226 if feeder == "bundled" else 4)
+        checked = 0
+        for a, b, kept, equality in ((a_ub, b_ub, ub_rows, False),
+                                     (a_eq, b_eq, eq_rows, True)):
+            a = a[:, columns]
+            copies = {(a[r].tobytes(), b[r]) for r in kept}
+            for r in np.setdiff1d(np.arange(len(b)), kept):
+                if not a[r].any():
+                    assert b[r] == 0.0 if equality else b[r] >= 0.0, r
+                else:
+                    assert (a[r].tobytes(), b[r]) in copies, r
+                checked += 1
+        assert checked == (1808 if feeder == "bundled" else 32)
     def test_dense_views_are_read_only(self, lateral):
         net, pop = lateral
         prob = assemble(net, pop, TdopfParams())
@@ -471,3 +540,102 @@ class TestSparseAssembly:
             clamped(joint, {}, ("b1", "zz"))
         with pytest.raises(StateError):
             clamped(clamped(joint, {}, ("b1", "o1")), {"b2": 0.0})
+
+
+def full_layout_solution(net, pop, params, clamp=None):
+    """Solve the LP over every 3N flow slot, with the flows on phases no line
+    carries pinned at zero, as the acceptance LP was built before it kept
+    carried phases only.  Returns that LP's solution in the 3N layout of
+    `TdopfSolution`, with the duals of every row it has."""
+    a_ub, b_ub, a_eq, b_eq = dense_layout_oracle(net, pop, params)
+    n, n3, edges = pop.n, 3 * net.n, params.polygon_edges
+    carried = assemble(net, pop, params, clamp=clamp)
+    c = np.zeros(n + 2 * n3)
+    c[:n] = carried.c[carried.cols["alpha"]]
+    c[n:n + n3] = (params.m_cents_per_kwh * net.s_base_kva * params.delta_t_hours
+                   * (build_matrices(net).c0 @ np.ones(3)))
+    flow_bounds = [(0.0, 0.0)] * n3
+    for _, _, row in net.line_rows():
+        flow_bounds[row] = (None, None)
+    res = solve_lp(c, sparse.csr_array(a_ub), b_ub, sparse.csr_array(a_eq), b_eq,
+                   carried.bounds[:n] + flow_bounds * 2)
+    assert res.status == "optimal"
+    x, lam, mu = res.x, res.eq_marginals, -res.ub_marginals
+    return TdopfSolution(
+        status="optimal", alpha={d.id: float(a) for d, a in zip(pop.ders, x[:n])},
+        p_flow=x[n:n + n3], q_flow=x[n + n3:],
+        lambda_p=lam[:n3], lambda_q=lam[n3:2 * n3],
+        mu_v_upper=mu[:n3], mu_v_lower=mu[n3:2 * n3],
+        mu_line=mu[2 * n3:(2 + edges) * n3].reshape(edges, n3),
+        mu_sub=mu[(2 + edges) * n3:].reshape(edges, 3),
+        alpha_lo=res.lower_marginals[:n], alpha_up=-res.upper_marginals[:n],
+        objective_cents=res.fun)
+
+
+def assert_layouts_agree(net, pop, params, clamp=None):
+    """The carried-phase LP and the full-layout LP reach the same
+    acceptances and objective, and each solution meets the optimality
+    conditions of the carried-phase LP.  Their duals need not agree: where
+    the LP is dual-degenerate each solve may return another optimal one."""
+    problem = assemble(net, pop, params, clamp=clamp)
+    carried = solve(problem)
+    full = full_layout_solution(net, pop, params, clamp)
+    assert carried.status == "optimal"
+    for sol in (carried, full):
+        for key, val in kkt_residuals(problem, sol).items():
+            assert val <= 1e-9, f"{key} = {val}"
+    assert max(abs(carried.alpha[d] - full.alpha[d]) for d in carried.alpha) <= 1e-9
+    assert carried.objective_cents == pytest.approx(full.objective_cents, rel=1e-12)
+    return carried, full
+
+
+@st.composite
+def lateral_feeders(draw):
+    """A small random radial feeder whose laterals carry one phase, or
+    the phases of their parent bus."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_bus = draw(st.integers(min_value=2, max_value=7))
+    phases = ["abc"]
+    buses, lines = [bus_rec(0)], []
+    for i in range(1, n_bus):
+        parent = int(rng.integers(0, i))
+        ph = phases[parent]
+        if rng.random() < 0.6:
+            ph = str(rng.choice(list(ph)))
+        phases.append(ph)
+        mask = np.array([p in ph for p in "abc"])
+        scale = float(rng.uniform(0.1, 0.6)) * np.outer(mask, mask)
+        buses.append(bus_rec(i, phases=ph,
+                             p_kw={p: float(-rng.uniform(5.0, 60.0)) for p in ph},
+                             q_kvar={p: float(-rng.uniform(0.0, 20.0)) for p in ph}))
+        lines.append({"from": parent, "to": i, "phases": ph,
+                      "r_ohm": (R_OHM_MILE * scale).tolist(),
+                      "x_ohm": (X_OHM_MILE * scale).tolist(),
+                      "s_max_kva": {p: float(rng.uniform(100.0, 600.0)) for p in ph}})
+    return feeder_doc(buses=buses, lines=lines)
+
+
+class TestCarriedLayout:
+    def test_dual_degenerate_offers_bin(self):
+        """ref123-crowd interval 1367864807: the offers-only bin's balance
+        duals move by up to 900 between the two layouts, and so do five
+        cutoffs; acceptances and objective do not."""
+        net = load_network(bundled_feeder())
+        pop = generate_population(GenerationSpec(n_bids=600, n_offers=600,
+                                                 seed=1367864807), net)
+        bids_out = {d.id: 0.0 for d in pop.ders if d.side == "bid"}
+        assert_layouts_agree(net, pop, TdopfParams(), bids_out)
+
+    @given(lateral_feeders(), st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["joint", "bid", "offer"]))
+    @settings(max_examples=40, deadline=None)
+    def test_layouts_agree_on_lateral_feeders(self, doc, seed, side):
+        net = load_network(doc)
+        pop = generate_population(GenerationSpec(n_bids=4, n_offers=4, seed=seed,
+                                                 volume_mean_kw=150.0, volume_sd_kw=100.0,
+                                                 volume_lo_kw=20.0, volume_hi_kw=400.0), net)
+        idle = solve(assemble(net, pop, TdopfParams(),
+                              clamp={d.id: 0.0 for d in pop.ders}))
+        assume(idle.status == "optimal")
+        clamp = {d.id: 0.0 for d in pop.ders if d.side != side} if side != "joint" else None
+        assert_layouts_agree(net, pop, TdopfParams(), clamp)
