@@ -430,6 +430,9 @@ def load_network(source) -> Network:
         for end in (parent, child):
             if not set(phases) <= set(buses[end].phases):
                 raise SchemaError(f"{where}: carries a phase absent at bus {buses[end].label!r}")
+        if set(buses[child].phases) != set(phases):
+            raise SchemaError(f"{where}: bus {buses[child].label!r} carries a phase "
+                              "this line does not feed")
         r = _matrix_3x3(_require(rec, "r_ohm", where), f"{where} r_ohm") / z_base_ohm
         x = _matrix_3x3(_require(rec, "x_ohm", where), f"{where} x_ohm") / z_base_ohm
         mask = np.array([p in phases for p in PHASES])

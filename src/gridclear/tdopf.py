@@ -22,10 +22,14 @@ phase each), kept as slices in `TdopfProblem.cols`.  Inequality rows are
 the families `voltage_box` (upper, then lower, one row per carried bus
 phase each), `line_polygon` (E blocks, one row per carried line phase) and
 `substation_polygon` (E blocks of 3), kept as slices in
-`TdopfProblem.ub_rows`; `solve`, `kkt_residuals` and the infeasibility
-probes read both tables by name.  Equality rows are the balances of the
-carried bus phases written as C'P - p_der = p_fixed (then the same for
-reactive), optionally followed by one zero-net-volume coupling row.
+`TdopfProblem.ub_rows`.  Equality rows are the balances of the carried
+bus phases written as C'P - p_der = p_fixed (then the same for reactive),
+optionally followed by one zero-net-volume coupling row.  `solve` reads
+both tables to unpack a solution, the infeasibility probes to drop a row
+family, and `kkt_residuals` to gather a solution back onto the LP's
+columns and rows.  The check then reads the LP itself (costs, matrices,
+right-hand sides and bounds), so the feeder physics lives in `assemble`
+alone and any LP built here, with whatever bounds, is checked as solved.
 
 Both constraint matrices are assembled as canonical CSR (sorted indices,
 no stored zeros), block by block from the feeder's cached matrices, and
@@ -123,8 +127,8 @@ class TdopfProblem:
     on every access, for inspection and size reports.  `ub_rows` maps each
     inequality family to its row slice, and `cols` each column block to
     its column slice; clamped DERs are those whose bounds are equal.  The
-    polygon and the DER scatter are read from `params` and `population`,
-    the carried rows from `network.carried_rows`.
+    carried rows are `network.carried_rows`, and the DER columns follow
+    `population.ders`.
     """
 
     network: Network
@@ -389,93 +393,71 @@ def solve(problem: TdopfProblem) -> TdopfSolution:
 
 
 def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
-    """Scaled residuals of the optimality conditions of a solved problem.
+    """Scaled residuals of the optimality conditions of a solved LP.
 
-    Returns a dict of sup-norm residuals, each divided by the largest
-    magnitude among the terms entering its identity (floored at 1):
-    primal feasibility, the three stationarity identities (flow-real and
-    flow-reactive over the carried line phases, acceptance), complementary
-    slackness, and dual signs.  `solution` is read in the 3N layout, so a
-    solution of the same LP written over every 3N slot is checked as well.
+    Reads the LP as the solver got it (`c`, both constraint matrices and
+    right-hand sides, `bounds`) and nothing else of the problem but its
+    block tables.  From the solution's 3N fields at `Network.carried_rows`
+    it gathers x, the row multipliers lambda (the balance rows, then the
+    volume row if there is one) and mu >= 0 (stacked by `ub_rows`
+    family), and the bound multipliers z_lo = alpha_lo and z_up = alpha_up
+    (zero on the free flow columns).  Each value is a sup-norm divided by
+    a scale floored at 1:
+
+    - primal_eq: A_eq x - b_eq, over the largest |b_eq|;
+    - primal_ineq: the violation of A_ub x <= b_ub and of the column
+      bounds, over the largest |b_ub| or finite bound;
+    - stationarity_alpha, _p, _q: r = c - A_eq' lambda + A_ub' mu - z_lo
+      + z_up on each column block, over the largest |c_j|,
+      |(A_eq' lambda)_j|, |(A_ub' mu)_j| or bound multiplier of that block;
+    - comp_slack_rows: mu times the row slack, over the largest mu;
+    - comp_slack_alpha: z_lo (x - lo) and z_up (hi - x) on every column
+      against its own finite bounds, over the largest bound multiplier;
+    - dual_sign: the most negative mu over the largest |mu|, and the most
+      negative bound multiplier over the largest |z|.
+
     Raises StateError unless the solution is optimal.
     """
     if solution.status != "optimal":
         raise StateError("optimality conditions need an optimal solution")
-    net = problem.network
-    m = net.matrices
-    params = problem.params
-    pop = problem.population
     cols, rows = problem.cols, problem.ub_rows
-    bus, line = net.carried_rows
-    n = pop.n
+    bus, line = problem.network.carried_rows
     x = np.empty(len(problem.c))
-    x[cols["alpha"]] = [solution.alpha[d.id] for d in pop.ders]
+    x[cols["alpha"]] = [solution.alpha[d.id] for d in problem.population.ders]
     x[cols["p"]], x[cols["q"]] = solution.p_flow[line], solution.q_flow[line]
-
-    out = {}
-    r_eq = problem.a_eq_csr @ x - problem.b_eq
-    out["primal_eq"] = np.max(np.abs(r_eq)) / max(1.0, np.max(np.abs(problem.b_eq)))
-    slack = problem.b_ub - problem.a_ub_csr @ x
-    out["primal_ineq"] = max(0.0, float(np.max(-slack))) / max(1.0, np.max(np.abs(problem.b_ub)))
-
-    # flow stationarity, written in the 3N layout and read on the carried flows
-    scale_kwh = net.s_base_kva * params.delta_t_hours
-    grad_p = (params.m_cents_per_kwh * scale_kwh * (m.c0 @ np.ones(3)))[line]
-    dmu_v = solution.mu_v_upper - solution.mu_v_lower
-    volt_p = (2.0 * m.d_r.T @ (m.c_inv.T @ dmu_v))[line]
-    volt_q = (2.0 * m.d_x.T @ (m.c_inv.T @ dmu_v))[line]
-    beta, delta, _ = params.polygon()
-    line_p = (beta @ solution.mu_line)[line]
-    line_q = (delta @ solution.mu_line)[line]
-    sub_p = (m.c0 @ (beta @ solution.mu_sub))[line]
-    sub_q = (m.c0 @ (delta @ solution.mu_sub))[line]
-
-    lhs_p = (m.c @ solution.lambda_p)[line]
-    rhs_p = grad_p + volt_p + line_p + sub_p
-    scale_p = max(1.0, *(np.max(np.abs(t)) for t in (lhs_p, grad_p, volt_p, line_p, sub_p)))
-    out["stationarity_p"] = np.max(np.abs(lhs_p - rhs_p)) / scale_p
-
-    lhs_q = (m.c @ solution.lambda_q)[line]
-    rhs_q = volt_q + line_q + sub_q
-    scale_q = max(1.0, *(np.max(np.abs(t)) for t in (lhs_q, volt_q, line_q, sub_q)))
-    out["stationarity_q"] = np.max(np.abs(lhs_q - rhs_q)) / scale_q
-
-    if n:
-        c_alpha = problem.c[cols["alpha"]]
-        vols = np.array([d.volume_kw for d in pop.ders])
-        znv = np.zeros(n)
-        if problem.zero_net_volume:
-            for der_id in problem.zero_net_volume:
-                j = pop.column_of[der_id]
-                znv[j] = vols[j] * solution.lambda_net_volume
-        r_alpha = (c_alpha + pop.scatter_p().T @ solution.lambda_p
-                   + pop.scatter_q().T @ solution.lambda_q - znv
-                   + solution.alpha_up - solution.alpha_lo)
-        scale_a = max(1.0, np.max(np.abs(c_alpha)),
-                      np.max(np.abs(solution.alpha_up)), np.max(np.abs(solution.alpha_lo)))
-        out["stationarity_alpha"] = np.max(np.abs(r_alpha)) / scale_a
-    else:
-        out["stationarity_alpha"] = 0.0
-
+    lam = np.concatenate([solution.lambda_p[bus], solution.lambda_q[bus],
+                          [solution.lambda_net_volume] if problem.zero_net_volume else []])
     mu = np.empty(len(problem.b_ub))
     mu[rows["voltage_box"]] = np.concatenate([solution.mu_v_upper[bus],
                                               solution.mu_v_lower[bus]])
     mu[rows["line_polygon"]] = solution.mu_line[:, line].ravel()
     mu[rows["substation_polygon"]] = solution.mu_sub.ravel()
-    mu_scale = max(1.0, np.max(mu, initial=0.0))
-    out["comp_slack_rows"] = np.max(np.abs(mu * slack), initial=0.0) / mu_scale
-    if n:
-        alphas = x[cols["alpha"]]
-        free = np.array([lo != hi for lo, hi in problem.bounds[cols["alpha"]]])
-        prod_lo = np.abs(solution.alpha_lo[free] * alphas[free])
-        prod_up = np.abs(solution.alpha_up[free] * (1.0 - alphas[free]))
-        bscale = max(1.0, np.max(solution.alpha_lo, initial=0.0),
-                     np.max(solution.alpha_up, initial=0.0))
-        out["comp_slack_alpha"] = max(np.max(prod_lo, initial=0.0),
-                                      np.max(prod_up, initial=0.0)) / bscale
-    else:
-        out["comp_slack_alpha"] = 0.0
-    out["dual_sign"] = max(0.0, float(-np.min(mu, initial=0.0))) / mu_scale
+    z_lo, z_up = np.zeros_like(x), np.zeros_like(x)
+    z_lo[cols["alpha"]], z_up[cols["alpha"]] = solution.alpha_lo, solution.alpha_up
+    lo = np.array([-np.inf if b is None else b for b, _ in problem.bounds])
+    hi = np.array([np.inf if b is None else b for _, b in problem.bounds])
+
+    def sup(v):
+        return float(np.max(np.abs(v), initial=0.0))
+
+    slack = problem.b_ub - problem.a_ub_csr @ x
+    violation = np.concatenate([-slack, x - hi, lo - x])  # -inf on an absent bound
+    limits = np.concatenate([problem.b_ub, lo, hi])
+    out = {"primal_eq": sup(problem.a_eq_csr @ x - problem.b_eq) / max(1.0, sup(problem.b_eq)),
+           "primal_ineq": max(0.0, np.max(violation))
+           / max(1.0, sup(limits[np.isfinite(limits)]))}
+    eq_t, ub_t = problem.a_eq_csr.T @ lam, problem.a_ub_csr.T @ mu
+    r = problem.c - eq_t + ub_t - z_lo + z_up
+    terms = np.max(np.abs([problem.c, eq_t, ub_t, z_lo, z_up]), axis=0)
+    for name, block in cols.items():
+        out[f"stationarity_{name}"] = sup(r[block]) / max(1.0, sup(terms[block]))
+    mu_scale, z_scale = max(1.0, sup(mu)), max(1.0, sup(z_lo), sup(z_up))
+    out["comp_slack_rows"] = sup(mu * slack) / mu_scale
+    gaps = np.concatenate([z_lo * np.where(np.isfinite(lo), x - lo, 0.0),
+                           z_up * np.where(np.isfinite(hi), hi - x, 0.0)])
+    out["comp_slack_alpha"] = sup(gaps) / z_scale
+    out["dual_sign"] = max(0.0, -np.min(mu, initial=0.0) / mu_scale,
+                           -np.min([z_lo, z_up], initial=0.0) / z_scale)
     return {k: float(v) for k, v in out.items()}
 
 

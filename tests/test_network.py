@@ -182,6 +182,20 @@ class TestLoading:
         with pytest.raises(SchemaError):
             load_network(doc)
 
+    def test_bus_phase_not_fed_by_its_line(self):
+        # a phase-a line cannot feed the load on phase b of an abc bus
+        doc = feeder_doc(
+            buses=[bus_rec(0), bus_rec(1, p_kw={"b": -5.0})],
+            lines=[{
+                "from": 0, "to": 1, "phases": "a",
+                "r_ohm": [[0.5, 0, 0], [0, 0, 0], [0, 0, 0]],
+                "x_ohm": [[1.0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                "s_max_kva": {"a": 2000.0},
+            }],
+        )
+        with pytest.raises(SchemaError, match="bus '1' carries a phase this line does not feed"):
+            load_network(doc)
+
 
 class TestRowLayout:
     def test_row_iterators_agree_with_row_of(self):

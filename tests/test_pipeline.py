@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import gridclear.pipeline
-from gridclear.ders import Der, DerPopulation, population_document, reactive_ratio
+from gridclear.ders import (
+    Der,
+    DerPopulation,
+    GenerationSpec,
+    generate_population,
+    population_document,
+    reactive_ratio,
+)
 from gridclear.errors import StateError
 from gridclear.network import load_network
 from gridclear.pipeline import (
@@ -21,8 +28,8 @@ from gridclear.pipeline import (
     resolve_lmp,
     wpm_clear,
 )
-from gridclear.scenario import load_scenario, run_scenario
-from gridclear.tdopf import TdopfParams, TdopfSolution, assemble, solve
+from gridclear.scenario import bundled_feeder, load_scenario, run_scenario
+from gridclear.tdopf import TdopfParams, TdopfSolution, assemble, kkt_residuals, solve
 
 from conftest import bus_rec, feeder_doc, mc_ders, mc_feeder_doc
 
@@ -311,3 +318,35 @@ class TestDispatchCheck:
         net = load_network(two_bus_doc)
         pop = DerPopulation.from_ders([], net)
         assert dispatch_check(net, pop, {}, TdopfParams()) == []
+
+
+def test_every_lp_of_a_crowd_interval_is_optimal(monkeypatch):
+    """The bundled feeder with 600 bids and 600 offers at an affine price
+    (interval seed 1826701615, case C): both side bins, the joint bin and
+    the ex-post LP of the withheld block each meet their optimality
+    conditions."""
+    feeder = bundled_feeder()
+    net = load_network(feeder)
+    pop = generate_population(GenerationSpec(n_bids=600, n_offers=600, seed=1826701615), net)
+    config = load_scenario({
+        "schema": "gridclear-scenario/1", "feeder": feeder,
+        "ders": population_document(pop, net), "case": "C",
+        "market": {"m_cents_per_kwh": 2.5,
+                   "lmp": {"intercept": 8.0, "slope": 0.004, "base_load_kw": 1347.5}},
+    })
+    solved = []
+
+    def recording(problem):
+        solution = solve(problem)
+        solved.append((problem, solution))
+        return solution
+
+    monkeypatch.setattr(gridclear.pipeline, "solve", recording)
+    outcome = run_scenario(config).outcome
+    assert outcome.rectification == "applied" and len(outcome.mc_candidates) == 189
+    assert len(outcome.cleared_mc) == 188
+    assert [problem.zero_net_volume != () for problem, _ in solved] == [False] * 3 + [True]
+    for problem, solution in solved:
+        assert solution.status == "optimal"
+        for key, val in kkt_residuals(problem, solution).items():
+            assert val <= 1e-9, f"{key} = {val}"

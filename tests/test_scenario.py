@@ -213,6 +213,8 @@ BAD_CONFIGS = {
     "fixed-load-nan": feeder_edit("buses", 2, "fixed_p_kw", value=float("nan")),
     "resistance-nan": feeder_edit("lines", 0, "r_ohm", 0, 0, value=float("nan")),
     "bus-record-not-object": feeder_edit("buses", 2, value=1),
+    "bus-phase-not-fed": feeder_edit("buses", 2, value={"id": 2, "phases": "abc",
+                                                        "fixed_p_kw": {"b": -5.0}}),
     "buses-not-list": feeder_edit("buses", value=5),
     "lines-not-list": feeder_edit("lines", value=5),
 }

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,6 +258,43 @@ class TestVoltageCongestion:
         for key, val in res.items():
             assert val <= 1e-6, f"{key} = {val}"
 
+    @pytest.fixture
+    def optimum(self, stressed):
+        net, pop = stressed
+        prob = assemble(net, pop, TdopfParams())
+        sol = solve(prob)
+        # each test below moves one multiplier by 1e-3 of the largest of its
+        # kind, the unit the check scales by, and the check must notice
+        top_mu = max(np.max(sol.mu_v_upper), np.max(sol.mu_v_lower),
+                     np.max(sol.mu_line), np.max(sol.mu_sub))
+        assert top_mu > 1.0
+        return net, prob, sol, top_mu
+
+    def test_kkt_residuals_catch_a_shifted_price(self, optimum):
+        net, prob, sol, _ = optimum
+        bus = net.carried_rows[0]
+        lambda_p = sol.lambda_p.copy()
+        lambda_p[bus[0]] += 1e-3 * np.max(np.abs(lambda_p))
+        res = kkt_residuals(prob, replace(sol, lambda_p=lambda_p))
+        assert max(res["stationarity_alpha"], res["stationarity_p"]) > 1e-6
+
+    def test_kkt_residuals_catch_a_price_on_a_slack_row(self, optimum):
+        net, prob, sol, top_mu = optimum
+        bus = net.carried_rows[0]
+        row = bus[np.argmax(net.v_max - sol.v[bus])]
+        assert net.v_max - sol.v[row] > 1e-2 and sol.mu_v_upper[row] == 0.0
+        mu_v_upper = sol.mu_v_upper.copy()
+        mu_v_upper[row] += 1e-3 * top_mu
+        res = kkt_residuals(prob, replace(sol, mu_v_upper=mu_v_upper))
+        assert res["comp_slack_rows"] > 1e-6
+
+    def test_kkt_residuals_catch_a_negative_multiplier(self, optimum):
+        net, prob, sol, top_mu = optimum
+        mu_line = sol.mu_line.copy()
+        mu_line[0, net.carried_rows[1][0]] = -1e-3 * top_mu
+        res = kkt_residuals(prob, replace(sol, mu_line=mu_line))
+        assert res["dual_sign"] > 1e-6
+
     def test_kkt_needs_an_optimal_solution(self):
         doc = feeder_doc(
             buses=[bus_rec(0), bus_rec(1, p_kw={"a": -300.0})],
@@ -355,6 +393,29 @@ class TestNetVolumeCoupling:
         assert total == pytest.approx(0.0, abs=1e-6)
         assert sol.alpha["b1"] == pytest.approx(1.0, abs=1e-7)
         assert sol.alpha["o1"] == pytest.approx(60.0 / 65.0, abs=1e-7)
+
+    def test_optimality_with_the_volume_row(self, two_bus_net):
+        pop = pop_of(two_bus_net, [bid("b1", 1, 60.0, 16.0), offer("o1", 1, 65.0, 9.0),
+                                   bid("b2", 1, 30.0, 4.0, phases=("b",))])
+        prob = assemble(two_bus_net, pop, TdopfParams(), zero_net_volume=("b1", "o1"))
+        sol = solve(prob)
+        assert sol.status == "optimal" and sol.lambda_net_volume != 0.0
+        for key, val in kkt_residuals(prob, sol).items():
+            assert val <= 1e-9, f"{key} = {val}"
+
+
+class TestOwnBounds:
+    def test_der_at_an_upper_bound_below_one(self, two_bus_net):
+        """Complementarity is read against each column's own bounds: a
+        cheap bid held at 0.5 by its bound is optimal there."""
+        pop = pop_of(two_bus_net, [bid("b1", 1, 20.0, 12.0)])
+        joint = assemble(two_bus_net, pop, TdopfParams())
+        prob = replace(joint, bounds=[(0.0, 0.5)] + joint.bounds[1:])
+        sol = solve(prob)
+        assert sol.alpha["b1"] == pytest.approx(0.5, abs=1e-12)
+        assert sol.alpha_up[0] > 1.0
+        for key, val in kkt_residuals(prob, sol).items():
+            assert val <= 1e-9, f"{key} = {val}"
 
 
 def dense_layout_oracle(net, pop, params, zero_net_volume=()):
