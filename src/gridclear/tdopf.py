@@ -133,7 +133,6 @@ class TdopfProblem:
 
     network: Network
     population: DerPopulation
-    params: TdopfParams
     zero_net_volume: tuple
     c: np.ndarray
     a_eq_csr: sparse.csr_array
@@ -283,7 +282,7 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     c[cols["p"]] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))[line]
 
     joint = TdopfProblem(
-        network=network, population=population, params=params, zero_net_volume=(),
+        network=network, population=population, zero_net_volume=(),
         c=c, a_eq_csr=a_eq, b_eq=b_eq, a_ub_csr=a_ub, b_ub=b_ub,
         bounds=[(0.0, 1.0)] * n + [(None, None)] * (2 * len(line)),  # alpha, p, q
         ub_rows=_stacked({name: len(rhs) for name, (_, rhs) in families.items()}),
