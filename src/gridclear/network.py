@@ -9,8 +9,9 @@ A feeder with N non-head buses is described by stacked per-phase vectors of
 length 3N.  Row 3*(i-1) + phi holds bus i, phase phi (phi = 0, 1, 2 for
 a, b, c); the same layout indexes lines, where line l feeds bus l + 1 after
 canonical ordering.  `phase_rows`, `Network.bus_rows` and
-`Network.line_rows` are the way other modules reach those rows, and
-`Network.carried_rows` holds the rows those two yield as index arrays.
+`Network.line_rows` are the way other modules reach those rows,
+`Network.carried_rows` holds the rows those two yield as index arrays,
+and `Network.row_labels` names each of them.
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ class Line:
 class Network:
     """A validated radial feeder in canonical ordering.
 
-    `matrices`, `voltage_block` and `carried_rows` are built from the
-    feeder on first use and kept for the life of the object, so a
-    `Network` must not be mutated (its buses, lines or their arrays) once
-    any of them has been read.
+    `matrices`, `voltage_block`, `carried_rows` and `row_labels` are built
+    from the feeder on first use and kept for the life of the object, so
+    a `Network` must not be mutated (its buses, lines or their arrays)
+    once any of them has been read.
 
     Attributes
     ----------
@@ -205,6 +206,23 @@ class Network:
         line.setflags(write=False)
         return bus, line
 
+    @cached_property
+    def row_labels(self) -> RowLabels:
+        """Who each row of `carried_rows` belongs to, built once per feeder.
+
+        Exports gather values at `carried_rows` and pair them with these
+        labels, in the same order, instead of walking `bus_rows` and
+        `line_rows` row by row.
+        """
+        bus_rows, line_rows = list(self.bus_rows()), list(self.line_rows())
+        return RowLabels(
+            bus=tuple(bus.label for bus, _, _ in bus_rows),
+            bus_phase=tuple(phase for _, phase, _ in bus_rows),
+            line_from=tuple(self.label_of(line.from_bus) for line, _, _ in line_rows),
+            line_to=tuple(self.label_of(line.to_bus) for line, _, _ in line_rows),
+            line_phase=tuple(phase for _, phase, _ in line_rows),
+        )
+
     def path_to_head(self, bus: int) -> list[int]:
         """Bus indices from `bus` up to (excluding) the head."""
         path = []
@@ -212,6 +230,22 @@ class Network:
             path.append(bus)
             bus = self.lines[bus - 1].from_bus
         return path
+
+
+@dataclass(frozen=True)
+class RowLabels:
+    """Labels of the carried rows, entry k naming row k of `carried_rows`.
+
+    bus and bus_phase name each carried bus row (bus label, phase);
+    line_from, line_to and line_phase name each carried line row by the
+    labels of its two end buses and its phase.
+    """
+
+    bus: tuple[str, ...]
+    bus_phase: tuple[str, ...]
+    line_from: tuple[str, ...]
+    line_to: tuple[str, ...]
+    line_phase: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -520,10 +554,19 @@ def _kron_i3(t: np.ndarray) -> np.ndarray:
 
 
 def voltage_rows(network: Network, v) -> list[dict]:
-    """Per-unit voltage magnitude of every carried bus phase, from squared v."""
-    return [{"bus": bus.label, "phase": phase,
-             "v_pu": float(np.sqrt(v[row])) if v[row] > 0 else 0.0}
-            for bus, phase, row in network.bus_rows()]
+    """Per-unit voltage magnitude of every carried bus phase, from squared v.
+
+    One record per row of `Network.carried_rows`, in its order, labelled
+    from `Network.row_labels`.  A squared voltage that is not positive
+    (zero, negative or nan) reads 0.0.
+    """
+    vals = np.asarray(v, dtype=float)[network.carried_rows[0]]
+    positive = vals > 0
+    v_pu = np.zeros_like(vals)
+    v_pu[positive] = np.sqrt(vals[positive])
+    labels = network.row_labels
+    return [{"bus": bus, "phase": phase, "v_pu": value}
+            for bus, phase, value in zip(labels.bus, labels.bus_phase, v_pu.tolist())]
 
 
 def _check_flow_shape(m: NetworkMatrices, *vecs):

@@ -417,33 +417,47 @@ def dispatch_check(network: Network, population: DerPopulation, alpha: dict,
     the head polygon, each beyond DISPATCH_TOL.  An empty list means the
     dispatch is clean.
     """
-    state = evaluate_dispatch(network, population, alpha)
+    return _violations(network, evaluate_dispatch(network, population, alpha), params)
+
+
+def _violations(network: Network, state: dict, params: TdopfParams) -> list[dict]:
+    """`dispatch_check`'s report on a state from `evaluate_dispatch`.
+
+    Bus rows come first, then line rows, each in the order of
+    `Network.carried_rows`, then the head phases a, b, c.  The rows are
+    judged by array comparisons, and only the flagged ones become records.
+    """
+    bus, line = network.carried_rows
+    labels = network.row_labels
+    s_base = network.s_base_kva
     beta, delta, gamma = params.polygon()
     apothem = -gamma[0]  # regular polygon: every gamma_e = -cos(pi / edges)
     report = []
 
-    for bus, ph, r in network.bus_rows():
-        val = float(state["v"][r])
-        if val < network.v_min - DISPATCH_TOL:
-            report.append({"kind": "voltage_low", "bus": bus.label,
-                           "phase": ph, "value": float(np.sqrt(max(val, 0.0))),
-                           "limit": float(np.sqrt(network.v_min))})
-        elif val > network.v_max + DISPATCH_TOL:
-            report.append({"kind": "voltage_high", "bus": bus.label,
-                           "phase": ph, "value": float(np.sqrt(val)),
-                           "limit": float(np.sqrt(network.v_max))})
+    v = state["v"][bus]
+    low = v < network.v_min - DISPATCH_TOL
+    flagged = np.flatnonzero(low | (v > network.v_max + DISPATCH_TOL))
+    # a low reading is floored at 0 before its root, a high one is positive
+    values = np.sqrt(np.where(0.0 > v[flagged], 0.0, v[flagged]))
+    for k, value in zip(flagged.tolist(), values.tolist()):
+        kind, limit = (("voltage_low", network.v_min) if low[k]
+                       else ("voltage_high", network.v_max))
+        report.append({"kind": kind, "bus": labels.bus[k],
+                       "phase": labels.bus_phase[k], "value": value,
+                       "limit": float(np.sqrt(limit))})
 
-    for line, ph, r in network.line_rows():
-        limit = line.s_max[PHASES.index(ph)]
-        reach = float(np.max(beta * state["p_flow"][r]
-                             + delta * state["q_flow"][r]))
-        if reach > apothem * limit + DISPATCH_TOL:
-            frm = network.label_of(line.from_bus)
-            to = network.label_of(line.to_bus)
-            report.append({"kind": "line_overload",
-                           "line": f"{frm}-{to}", "phase": ph,
-                           "value": float(reach / apothem * network.s_base_kva),
-                           "limit": float(limit * network.s_base_kva)})
+    limits = np.reshape([ln.s_max for ln in network.lines], -1)[line]
+    reach = np.multiply.outer(state["p_flow"][line], beta)
+    reach += np.multiply.outer(state["q_flow"][line], delta)
+    reach = reach.max(axis=1)
+    flagged = np.flatnonzero(reach > apothem * limits + DISPATCH_TOL)
+    values = (reach[flagged] / apothem * s_base).tolist()
+    for k, value, limit in zip(flagged.tolist(), values,
+                               (limits[flagged] * s_base).tolist()):
+        report.append({"kind": "line_overload",
+                       "line": f"{labels.line_from[k]}-{labels.line_to[k]}",
+                       "phase": labels.line_phase[k], "value": value,
+                       "limit": limit})
 
     for i, ph in enumerate(PHASES):
         reach = float(np.max(beta * state["p0"][i] + delta * state["q0"][i]))

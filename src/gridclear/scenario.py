@@ -15,7 +15,10 @@ import datetime
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib import resources
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .ders import (
@@ -31,9 +34,9 @@ from .network import FEEDER_SCHEMA, Network, load_network, voltage_rows
 from .pipeline import (
     AffineLmp,
     IdsoQuote,
+    _violations,
     aggregate_curves,
     build_bins,
-    dispatch_check,
     evaluate_dispatch,
     expost_rectify,
     make_quotes,
@@ -186,9 +189,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> ScenarioResult:
         outcome = expost_rectify(bins, cleared)
     cutoffs = qualification_prices(bins)
     signals = retail_signals(bins, outcome, cutoffs)
-    violations = dispatch_check(network, population, outcome.final_alpha,
-                                config.params)
     state = evaluate_dispatch(network, population, outcome.final_alpha)
+    violations = _violations(network, state, config.params)
     s = network.s_base_kva
     outcome_doc = {
         "schema": OUTCOME_SCHEMA,
@@ -276,12 +278,82 @@ def _output_dir(path) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
+    """Write `obj` to `path` as `json.dumps(obj, indent=2, sort_keys=True)`
+    plus a newline, byte for byte; see `_json_text`.
+
+    The text is built before the file is opened, so a document that cannot
+    be encoded raises (TypeError, ValueError) and leaves no file behind.
+    ConfigError if the file cannot be written.
+    """
+    text = _json_text(obj) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+_INDENT = "  "
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(newline: str) -> json.JSONEncoder:
+    """CPython's C encoder, with `newline` (a line break and an indent)
+    after each item separator."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + newline, ": "))
+
+
+def _all_of(values, types) -> bool:
+    """Whether every one of `values` is an instance of `types`."""
+    return all(issubclass(t, types) for t in set(map(type, values)))
+
+
+def _scalars(values) -> bool:
+    """Whether every one of `values` is a JSON scalar: str, int (bool
+    too), float or None."""
+    return _all_of(values, (str, int, float, type(None)))
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for `obj`
+    nested where `newline` (a line break and that depth's indent) starts
+    each of its lines.
+
+    The stdlib writes any indented document on its pure-Python path.  Here
+    a list or a str-keyed dict of scalars is one call of the C encoder
+    with `newline` plus one indent as its item separator, wrapped in its
+    brackets.  A list of non-empty str-keyed dicts of scalars is one call
+    too, with the record boundaries `},<separator>{` re-indented by one
+    `str.replace`: the encoder escapes every control character inside a
+    string, so a raw line break only ever follows a separator, and only
+    a record boundary puts `{` after one.  Other containers recurse, and a
+    dict with a key that is not a str is left to the stdlib and
+    re-indented.  A scalar, or an object JSON has no form for (TypeError),
+    goes to the C encoder alone.
+    """
+    if isinstance(obj, dict) and not _all_of(obj, str):
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _flat_encoder(newline).encode(obj)
+    inner = newline + _INDENT
+    values = obj.values() if isinstance(obj, dict) else obj
+    if _scalars(values):
+        flat = _flat_encoder(inner).encode(obj)
+        return flat[0] + inner + flat[1:-1] + newline + flat[-1]
+    if isinstance(obj, dict):
+        body = ("," + inner).join(f"{encode_basestring_ascii(key)}: "
+                                  f"{_json_text(obj[key], inner)}"
+                                  for key in sorted(obj))
+        return "{" + inner + body + newline + "}"
+    if (_all_of(obj, dict) and all(obj) and _all_of(chain.from_iterable(obj), str)
+            and _scalars(chain.from_iterable(map(dict.values, obj)))):
+        record = inner + _INDENT
+        flat = _flat_encoder(record).encode(obj)
+        body = flat[2:-2].replace("}," + record + "{",
+                                  inner + "}," + inner + "{" + record)
+        return "[" + inner + "{" + record + body + inner + "}" + newline + "]"
+    return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) \
+        + newline + "]"
 
 
 @contextmanager

@@ -492,22 +492,23 @@ def solution_document(solution: TdopfSolution, network: Network,
         return doc
     doc["alpha"] = {d.id: solution.alpha[d.id] for d in population.ders}
 
+    bus, line = network.carried_rows
+    labels = network.row_labels
+    s_base = network.s_base_kva
+
     def bus_values(vec):
-        return [{"bus": bus.label, "phase": ph, "value": float(vec[row])}
-                for bus, ph, row in network.bus_rows()]
+        return [{"bus": label, "phase": ph, "value": value}
+                for label, ph, value in zip(labels.bus, labels.bus_phase,
+                                            vec[bus].tolist())]
 
     doc["voltages"] = voltage_rows(network, solution.v)
-    doc["flows"] = [{
-        "from": network.label_of(line.from_bus),
-        "to": network.label_of(line.to_bus),
-        "phase": ph,
-        "p_kw": float(solution.p_flow[row] * network.s_base_kva),
-        "q_kvar": float(solution.q_flow[row] * network.s_base_kva),
-    } for line, ph, row in network.line_rows()]
-    doc["head"] = {
-        "p_kw": [float(v * network.s_base_kva) for v in solution.p0],
-        "q_kvar": [float(v * network.s_base_kva) for v in solution.q0],
-    }
+    doc["flows"] = [{"from": frm, "to": to, "phase": ph, "p_kw": p_kw, "q_kvar": q_kvar}
+                    for frm, to, ph, p_kw, q_kvar in zip(
+                        labels.line_from, labels.line_to, labels.line_phase,
+                        (solution.p_flow[line] * s_base).tolist(),
+                        (solution.q_flow[line] * s_base).tolist())]
+    doc["head"] = {"p_kw": (solution.p0 * s_base).tolist(),
+                   "q_kvar": (solution.q0 * s_base).tolist()}
     doc["duals"] = {"lambda_p": bus_values(solution.lambda_p),
                     "lambda_q": bus_values(solution.lambda_q)}
     return doc

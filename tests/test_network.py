@@ -15,6 +15,7 @@ from gridclear.network import (
     lindistflow_voltages,
     load_network,
     phase_coupled_impedance,
+    voltage_rows,
 )
 from gridclear.scenario import bundled_feeder, load_scenario, run_scenario
 
@@ -365,3 +366,30 @@ def test_structural_matrices_match_dense_oracle(doc):
     block = net.voltage_block
     assert np.array_equal(block.toarray(), voltage)
     assert block.has_canonical_format and np.all(block.data != 0)
+
+
+@pytest.mark.parametrize("doc", [bundled_feeder, lateral_feeder_doc],
+                         ids=["bundled-123", "phase-b-lateral"])
+def test_row_labels_name_the_carried_rows_in_order(doc):
+    net = load_network(doc())
+    bus, line = net.carried_rows
+    labels = net.row_labels
+    assert list(zip(labels.bus, labels.bus_phase, bus.tolist())) == [
+        (b.label, ph, row) for b, ph, row in net.bus_rows()]
+    assert list(zip(labels.line_from, labels.line_to, labels.line_phase,
+                    line.tolist())) == [
+        (net.label_of(ln.from_bus), net.label_of(ln.to_bus), ph, row)
+        for ln, ph, row in net.line_rows()]
+    assert net.row_labels is labels
+
+
+def test_voltage_rows_read_zero_where_the_squared_voltage_is_not_positive():
+    net = load_network(lateral_feeder_doc())
+    v = np.full(3 * net.n, 1.0404)
+    bus = net.carried_rows[0]
+    v[bus[:4]] = [0.0, -0.0, -1e-3, np.nan]
+    rows = voltage_rows(net, v)
+    assert [r["v_pu"] for r in rows] == [0.0, 0.0, 0.0, 0.0, 1.02, 1.02, 1.02]
+    assert all(repr(r["v_pu"]) != "-0.0" for r in rows)
+    assert [(r["bus"], r["phase"]) for r in rows] == [
+        (b.label, ph) for b, ph, _ in net.bus_rows()]

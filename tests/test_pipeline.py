@@ -1,3 +1,4 @@
+import copy
 import logging
 
 import numpy as np
@@ -13,14 +14,16 @@ from gridclear.ders import (
     reactive_ratio,
 )
 from gridclear.errors import StateError
-from gridclear.network import load_network
+from gridclear.network import PHASES, load_network
 from gridclear.pipeline import (
+    DISPATCH_TOL,
     AffineLmp,
     Bins,
     IdsoQuote,
     aggregate_curves,
     build_bins,
     dispatch_check,
+    evaluate_dispatch,
     expost_rectify,
     make_quotes,
     mc_ids,
@@ -31,7 +34,42 @@ from gridclear.pipeline import (
 from gridclear.scenario import bundled_feeder, load_scenario, run_scenario
 from gridclear.tdopf import TdopfParams, TdopfSolution, assemble, kkt_residuals, solve
 
-from conftest import bus_rec, feeder_doc, mc_ders, mc_feeder_doc
+from conftest import bus_rec, feeder_doc, lateral_feeder_doc, mc_ders, mc_feeder_doc
+
+
+def dispatch_check_by_rows(network, population, alpha, params):
+    """`dispatch_check` as it was first written, one row at a time: the
+    reference the array version must reproduce exactly."""
+    state = evaluate_dispatch(network, population, alpha)
+    beta, delta, gamma = params.polygon()
+    apothem = -gamma[0]
+    report = []
+    for bus, ph, r in network.bus_rows():
+        val = float(state["v"][r])
+        if val < network.v_min - DISPATCH_TOL:
+            report.append({"kind": "voltage_low", "bus": bus.label,
+                           "phase": ph, "value": float(np.sqrt(max(val, 0.0))),
+                           "limit": float(np.sqrt(network.v_min))})
+        elif val > network.v_max + DISPATCH_TOL:
+            report.append({"kind": "voltage_high", "bus": bus.label,
+                           "phase": ph, "value": float(np.sqrt(val)),
+                           "limit": float(np.sqrt(network.v_max))})
+    for line, ph, r in network.line_rows():
+        limit = line.s_max[PHASES.index(ph)]
+        reach = float(np.max(beta * state["p_flow"][r] + delta * state["q_flow"][r]))
+        if reach > apothem * limit + DISPATCH_TOL:
+            frm = network.label_of(line.from_bus)
+            to = network.label_of(line.to_bus)
+            report.append({"kind": "line_overload", "line": f"{frm}-{to}", "phase": ph,
+                           "value": float(reach / apothem * network.s_base_kva),
+                           "limit": float(limit * network.s_base_kva)})
+    for i, ph in enumerate(PHASES):
+        reach = float(np.max(beta * state["p0"][i] + delta * state["q0"][i]))
+        if reach > apothem * network.s0_max[i] + DISPATCH_TOL:
+            report.append({"kind": "head_overload", "phase": ph,
+                           "value": float(reach / apothem * network.s_base_kva),
+                           "limit": float(network.s0_max[i] * network.s_base_kva)})
+    return report
 
 
 R_PU = 3.0 / 5.764801
@@ -318,6 +356,35 @@ class TestDispatchCheck:
         net = load_network(two_bus_doc)
         pop = DerPopulation.from_ders([], net)
         assert dispatch_check(net, pop, {}, TdopfParams()) == []
+
+    @pytest.mark.parametrize("doc, n_ders, s0_max_kva",
+                             [(bundled_feeder, 150, 200.0), (lateral_feeder_doc, 10, 30.0)],
+                             ids=["bundled-123", "phase-b-lateral"])
+    def test_matches_the_row_by_row_check(self, doc, n_ders, s0_max_kva):
+        """Limits tightened until the dispatches below break all four kinds:
+        the report equals the row-by-row reference, record for record and
+        float for float, in the same order."""
+        doc = copy.deepcopy(doc())
+        doc["base"].update(v_min_pu=1.02, v_max_pu=doc["base"]["v0_pu"],
+                           s0_max_kva=s0_max_kva)
+        for rec in doc["lines"]:
+            rec.pop("ampacity_a", None)
+            rec["s_max_kva"] = 40.0
+        net = load_network(doc)
+        pop = generate_population(GenerationSpec(n_bids=n_ders, n_offers=n_ders, seed=3), net)
+        rng = np.random.default_rng(0)
+        dispatches = [{}, {d.id: 1.0 for d in pop.subset("offer")},
+                      {d.id: 1.0 for d in pop.subset("bid")},
+                      {d.id: float(rng.uniform()) for d in pop.ders}]
+        params = TdopfParams(polygon_edges=7)
+        kinds = set()
+        for alpha in dispatches:
+            report = dispatch_check(net, pop, alpha, params)
+            expected = dispatch_check_by_rows(net, pop, alpha, params)
+            assert report == expected
+            assert repr(report) == repr(expected)
+            kinds |= {v["kind"] for v in report}
+        assert kinds == {"voltage_low", "voltage_high", "line_overload", "head_overload"}
 
 
 def test_every_lp_of_a_crowd_interval_is_optimal(monkeypatch):

@@ -2,6 +2,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from gridclear.ders import GenerationSpec, generate_population, population_docum
 from gridclear.errors import ConfigError, InfeasibleError, read_document
 from gridclear.network import load_network
 from gridclear.scenario import (
+    _write_json,
     bundled_feeder,
     emit_plot_data,
     load_scenario,
@@ -431,3 +433,59 @@ class TestDerOrder:
         lmp = {"intercept": 8.0, "slope": 0.004, "base_load_kw": 1347.5}
         assert (exported_bytes(ders_scenario(feeder, records[::-1], lmp))
                 == exported_bytes(ders_scenario(feeder, records, lmp)))
+
+
+# Strings the indented layout could be confused by: quotes, escapes, line
+# breaks, the text of a record boundary, brackets and non-ASCII.
+AWKWARD_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", "\n", "},\n    {", "},\n{", "[]", "{}", "]", "{",
+                     ": ", ",\n  ", "é", "日本語", " ", "\x00"]),
+)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308]),
+    AWKWARD_TEXT,
+)
+# keys that compare with each other, so the stdlib can sort them
+OTHER_KEYS = st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans())
+
+
+def json_documents():
+    """Nested dicts, lists and tuples (empty ones too), lists of flat
+    records, and dicts with keys that are not strings."""
+    records = st.lists(st.dictionaries(AWKWARD_TEXT, JSON_SCALARS, min_size=1,
+                                       max_size=4), min_size=1, max_size=4)
+    return st.recursive(JSON_SCALARS, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(AWKWARD_TEXT, children, max_size=4),
+        st.dictionaries(OTHER_KEYS, children, max_size=3),
+        records,
+    ), max_leaves=25)
+
+
+class TestJsonWriter:
+    @given(json_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_writes_what_the_stdlib_writes(self, doc):
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out, "doc.json")
+            _write_json(path, doc)
+            assert path.read_text() == expected
+
+    def test_unencodable_document_leaves_no_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        with pytest.raises(TypeError):
+            _write_json(path, {"a": object()})
+        assert not path.exists()
+
+    def test_run_exports_are_the_stdlib_text_of_its_documents(self, tmp_path):
+        result = run_scenario(load_scenario(write_scenario(tmp_path)), tmp_path / "out")
+        for name, doc in result.documents.items():
+            assert ((tmp_path / "out" / name).read_text()
+                    == json.dumps(doc, indent=2, sort_keys=True) + "\n"), name
