@@ -9,9 +9,9 @@ A feeder with N non-head buses is described by stacked per-phase vectors of
 length 3N.  Row 3*(i-1) + phi holds bus i, phase phi (phi = 0, 1, 2 for
 a, b, c); the same layout indexes lines, where line l feeds bus l + 1 after
 canonical ordering.  `phase_rows`, `Network.bus_rows` and
-`Network.line_rows` are the way other modules reach those rows,
-`Network.carried_rows` holds the rows those two yield as index arrays,
-and `Network.row_labels` names each of them.
+`Network.line_rows` are the way other modules reach those rows.  A bus
+carries the phases of the line that feeds it, so the two share rows:
+`Network.carried_rows` lists them once, and `Network.row_labels` names each.
 """
 
 from __future__ import annotations
@@ -197,30 +197,26 @@ class Network:
                 yield line, phase, row
 
     @cached_property
-    def carried_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(bus, line) rows of the 3N layout, ascending: those of `bus_rows`
-        and of `line_rows`.  The acceptance LP is built over these alone."""
-        bus = np.array([row for _, _, row in self.bus_rows()], dtype=np.intp)
-        line = np.array([row for _, _, row in self.line_rows()], dtype=np.intp)
-        bus.setflags(write=False)
-        line.setflags(write=False)
-        return bus, line
+    def carried_rows(self) -> np.ndarray:
+        """Rows of the 3N layout the feeder carries, ascending: those of
+        `bus_rows`, which are also those of `line_rows` (see
+        `load_network`).  The acceptance LP is built over these alone."""
+        rows = np.array([row for _, _, row in self.bus_rows()], dtype=np.intp)
+        rows.setflags(write=False)
+        return rows
 
     @cached_property
     def row_labels(self) -> RowLabels:
         """Who each row of `carried_rows` belongs to, built once per feeder.
 
         Exports gather values at `carried_rows` and pair them with these
-        labels, in the same order, instead of walking `bus_rows` and
-        `line_rows` row by row.
+        labels, in the same order, instead of walking `bus_rows` row by row.
         """
-        bus_rows, line_rows = list(self.bus_rows()), list(self.line_rows())
+        rows = list(self.bus_rows())
         return RowLabels(
-            bus=tuple(bus.label for bus, _, _ in bus_rows),
-            bus_phase=tuple(phase for _, phase, _ in bus_rows),
-            line_from=tuple(self.label_of(line.from_bus) for line, _, _ in line_rows),
-            line_to=tuple(self.label_of(line.to_bus) for line, _, _ in line_rows),
-            line_phase=tuple(phase for _, phase, _ in line_rows),
+            bus=tuple(b.label for b, _, _ in rows),
+            phase=tuple(phase for _, phase, _ in rows),
+            parent=tuple(self.label_of(self.lines[b.index - 1].from_bus) for b, _, _ in rows),
         )
 
     def path_to_head(self, bus: int) -> list[int]:
@@ -236,16 +232,13 @@ class Network:
 class RowLabels:
     """Labels of the carried rows, entry k naming row k of `carried_rows`.
 
-    bus and bus_phase name each carried bus row (bus label, phase);
-    line_from, line_to and line_phase name each carried line row by the
-    labels of its two end buses and its phase.
+    bus and phase name the bus phase; the line that feeds it runs from
+    the bus labelled parent to bus, on the same phase.
     """
 
     bus: tuple[str, ...]
-    bus_phase: tuple[str, ...]
-    line_from: tuple[str, ...]
-    line_to: tuple[str, ...]
-    line_phase: tuple[str, ...]
+    phase: tuple[str, ...]
+    parent: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -366,7 +359,9 @@ def load_network(source) -> Network:
     -------
     Network
         Canonically ordered (head first, parents before children, line l
-        feeds bus l + 1), converted to per-unit.
+        feeds bus l + 1), converted to per-unit.  Each non-head bus carries
+        exactly the phases of the line that feeds it, which
+        `Network.carried_rows` relies on, and the head carries no fixed load.
     """
     doc = read_document(source, FEEDER_SCHEMA, "feeder")
 
@@ -452,6 +447,8 @@ def load_network(source) -> Network:
         phases = parse_phases(rec.get("phases", "abc"), f"bus {lab}")
         p = _phase_map_to_vec(rec.get("fixed_p_kw"), phases, f"bus {lab} fixed_p_kw") / s_base
         q = _phase_map_to_vec(rec.get("fixed_q_kvar"), phases, f"bus {lab} fixed_q_kvar") / s_base
+        if i == 0 and (p.any() or q.any()):
+            raise SchemaError(f"head bus {lab!r} cannot carry fixed_p_kw or fixed_q_kvar")
         buses.append(Bus(index=i, label=lab, phases=phases,
                          fixed_p=_frozen(p), fixed_q=_frozen(q), is_head=(i == 0)))
 
@@ -560,13 +557,13 @@ def voltage_rows(network: Network, v) -> list[dict]:
     from `Network.row_labels`.  A squared voltage that is not positive
     (zero, negative or nan) reads 0.0.
     """
-    vals = np.asarray(v, dtype=float)[network.carried_rows[0]]
+    vals = np.asarray(v, dtype=float)[network.carried_rows]
     positive = vals > 0
     v_pu = np.zeros_like(vals)
     v_pu[positive] = np.sqrt(vals[positive])
     labels = network.row_labels
     return [{"bus": bus, "phase": phase, "v_pu": value}
-            for bus, phase, value in zip(labels.bus, labels.bus_phase, v_pu.tolist())]
+            for bus, phase, value in zip(labels.bus, labels.phase, v_pu.tolist())]
 
 
 def _check_flow_shape(m: NetworkMatrices, *vecs):

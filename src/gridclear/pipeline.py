@@ -427,14 +427,14 @@ def _violations(network: Network, state: dict, params: TdopfParams) -> list[dict
     `Network.carried_rows`, then the head phases a, b, c.  The rows are
     judged by array comparisons, and only the flagged ones become records.
     """
-    bus, line = network.carried_rows
+    rows = network.carried_rows
     labels = network.row_labels
     s_base = network.s_base_kva
     beta, delta, gamma = params.polygon()
     apothem = -gamma[0]  # regular polygon: every gamma_e = -cos(pi / edges)
     report = []
 
-    v = state["v"][bus]
+    v = state["v"][rows]
     low = v < network.v_min - DISPATCH_TOL
     flagged = np.flatnonzero(low | (v > network.v_max + DISPATCH_TOL))
     # a low reading is floored at 0 before its root, a high one is positive
@@ -443,20 +443,20 @@ def _violations(network: Network, state: dict, params: TdopfParams) -> list[dict
         kind, limit = (("voltage_low", network.v_min) if low[k]
                        else ("voltage_high", network.v_max))
         report.append({"kind": kind, "bus": labels.bus[k],
-                       "phase": labels.bus_phase[k], "value": value,
+                       "phase": labels.phase[k], "value": value,
                        "limit": float(np.sqrt(limit))})
 
-    limits = np.reshape([ln.s_max for ln in network.lines], -1)[line]
-    reach = np.multiply.outer(state["p_flow"][line], beta)
-    reach += np.multiply.outer(state["q_flow"][line], delta)
+    limits = np.reshape([ln.s_max for ln in network.lines], -1)[rows]
+    reach = np.multiply.outer(state["p_flow"][rows], beta)
+    reach += np.multiply.outer(state["q_flow"][rows], delta)
     reach = reach.max(axis=1)
     flagged = np.flatnonzero(reach > apothem * limits + DISPATCH_TOL)
     values = (reach[flagged] / apothem * s_base).tolist()
     for k, value, limit in zip(flagged.tolist(), values,
                                (limits[flagged] * s_base).tolist()):
         report.append({"kind": "line_overload",
-                       "line": f"{labels.line_from[k]}-{labels.line_to[k]}",
-                       "phase": labels.line_phase[k], "value": value,
+                       "line": f"{labels.parent[k]}-{labels.bus[k]}",
+                       "phase": labels.phase[k], "value": value,
                        "limit": limit})
 
     for i, ph in enumerate(PHASES):

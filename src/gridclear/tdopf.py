@@ -6,27 +6,23 @@ equations, voltage box, and polygonal apparent-power limits?  The duals of
 the balance rows are nodal prices per phase; from them each DER gets a
 qualification price, the cutoff at which it would just have been accepted.
 
-The LP is built over carried phases only, the rows of the 3N layout that
-`Network.carried_rows` lists: a flow on a phase no line carries, and a
-balance or voltage on a phase no bus carries, has no column or row.  Such
-a balance row would be empty, and such a voltage row a copy of an
-ancestor's, since impedances are zero on absent phases.  On the bundled
-123-bus feeder with 55 DERs this takes a joint LP from 5940 x 793 to
-4132 x 567.  `solve` writes flows and duals back into the 3N layout, zero
-on the rows left out, so `TdopfSolution` and everything read from it keep
-their shape.
-
-The LP's blocks are named where `assemble` stacks them, and nowhere else.
-Columns are `alpha` (one per DER), `p` and `q` (one flow per carried line
-phase each), kept as slices in `TdopfProblem.cols`.  Inequality rows are
-the families `voltage_box` (upper, then lower, one row per carried bus
-phase each), `line_polygon` (E blocks, one row per carried line phase) and
-`substation_polygon` (E blocks of 3), kept as slices in
-`TdopfProblem.ub_rows`.  Equality rows are the balances of the carried
-bus phases written as C'P - p_der = p_fixed (then the same for reactive),
-optionally followed by one zero-net-volume coupling row.  `solve` reads
-both tables to unpack a solution, the infeasibility probes to drop a row
-family, and `kkt_residuals` to gather a solution back onto the LP's
+The LP is built over carried phases only: the rows `Network.carried_rows`
+lists, each a bus phase and the phase of the line that feeds it.  A phase
+no bus carries has no row or column, since its balance row would be empty
+and its voltage row a copy of an ancestor's (impedances are zero on absent
+phases); on the bundled 123-bus feeder with 55 DERs this takes a joint LP
+from 5940 x 793 to 4132 x 567.  The LP's blocks are named where `assemble`
+stacks them, and nowhere else.  Columns are `alpha` (one per DER), `p` and
+`q` (one flow per carried row each), kept as slices in `TdopfProblem.cols`.
+Inequality rows are the families `voltage_box` (upper, then lower, one row
+per carried row each), `line_polygon` (E blocks of one row per carried row)
+and `substation_polygon` (E blocks of 3), kept as slices in
+`TdopfProblem.ub_rows`.  Equality rows are the balances of the carried rows
+written as C'P - p_der = p_fixed (then the same for reactive), optionally
+followed by one zero-net-volume coupling row.  `solve` reads both tables to
+unpack a solution into the 3N layout, zero on the rows left out, so
+`TdopfSolution` keeps its shape; the infeasibility probes read them to drop
+a row family, and `kkt_residuals` to gather a solution back onto the LP's
 columns and rows.  The check then reads the LP itself (costs, matrices,
 right-hand sides and bounds), so the feeder physics lives in `assemble`
 alone and any LP built here, with whatever bounds, is checked as solved.
@@ -165,7 +161,7 @@ def _stacked(heights: dict) -> dict:
 
 
 def _column_blocks(network: Network, population: DerPopulation) -> dict:
-    flows = len(network.carried_rows[1])
+    flows = len(network.carried_rows)
     return _stacked({"alpha": population.n, "p": flows, "q": flows})
 
 
@@ -244,7 +240,8 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     matrices = network.matrices
     n = population.n
     n3 = 3 * network.n
-    bus, line = network.carried_rows
+    rows = network.carried_rows
+    m = len(rows)
     cols = _column_blocks(network, population)
 
     p_f, q_f = network.fixed_injections()
@@ -252,39 +249,39 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
 
     # C' is kron(T', I3): built from the bus-level tree, it skips a scan of dense 3N x 3N c
     c_t = sparse.kron(sparse.csr_array(matrices.c[::3, ::3].T), sparse.eye_array(3),
-                      format="csr")[bus][:, line]
+                      format="csr")[rows][:, rows]
     a_eq = _canonical(sparse.block_array([
-        [sparse.csr_array(-population.scatter_p()[bus]), c_t, None],
-        [sparse.csr_array(-population.scatter_q()[bus]), None, c_t]]))
-    b_eq = np.concatenate([p_f[bus], q_f[bus]])
+        [sparse.csr_array(-population.scatter_p()[rows]), c_t, None],
+        [sparse.csr_array(-population.scatter_q()[rows]), None, c_t]]))
+    b_eq = np.concatenate([p_f[rows], q_f[rows]])
 
     # inequality families over the flow columns, as (rows, right-hand side)
-    s_line = np.concatenate([branch.s_max for branch in network.lines])[line]
+    s_line = np.concatenate([branch.s_max for branch in network.lines])[rows]
     edge_pq = np.column_stack([beta, delta])  # row e: [beta_e, delta_e]
-    voltage = network.voltage_block[np.concatenate([bus, n3 + bus])]
+    pq = np.concatenate([rows, n3 + rows])  # voltage-box rows and flow columns alike
     families = {
-        "voltage_box": (voltage[:, np.concatenate([line, n3 + line])],
-                        np.concatenate([np.full(len(bus), network.v_max - network.v0),
-                                        np.full(len(bus), network.v0 - network.v_min)])),
-        "line_polygon": (sparse.kron(edge_pq, sparse.eye_array(len(line))),
+        "voltage_box": (network.voltage_block[pq][:, pq],
+                        np.concatenate([np.full(m, network.v_max - network.v0),
+                                        np.full(m, network.v0 - network.v_min)])),
+        "line_polygon": (sparse.kron(edge_pq, sparse.eye_array(m)),
                          np.outer(-gamma, s_line).ravel()),
-        "substation_polygon": (sparse.kron(edge_pq, sparse.csr_array(matrices.c0.T[:, line])),
+        "substation_polygon": (sparse.kron(edge_pq, sparse.csr_array(matrices.c0.T[:, rows])),
                                np.outer(-gamma, network.s0_max).ravel()),
     }
-    flow_rows = sparse.vstack([rows for rows, _ in families.values()])
+    flow_rows = sparse.vstack([block for block, _ in families.values()])
     a_ub = _canonical(sparse.hstack([sparse.csr_array((flow_rows.shape[0], n)), flow_rows]))
     b_ub = np.concatenate([rhs for _, rhs in families.values()])
 
     scale = network.s_base_kva * params.delta_t_hours
-    c = np.zeros(n + 2 * len(line))
+    c = np.zeros(n + 2 * m)
     c[cols["alpha"]] = [gamma_price(der, params.big_m_cents) * der.volume_kw
                         * params.delta_t_hours for der in population.ders]
-    c[cols["p"]] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))[line]
+    c[cols["p"]] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))[rows]
 
     joint = TdopfProblem(
         network=network, population=population, zero_net_volume=(),
         c=c, a_eq_csr=a_eq, b_eq=b_eq, a_ub_csr=a_ub, b_ub=b_ub,
-        bounds=[(0.0, 1.0)] * n + [(None, None)] * (2 * len(line)),  # alpha, p, q
+        bounds=[(0.0, 1.0)] * n + [(None, None)] * (2 * m),  # alpha, p, q
         ub_rows=_stacked({name: len(rhs) for name, (_, rhs) in families.items()}),
     )
     return clamped(joint, clamp or {}, zero_net_volume)
@@ -360,17 +357,17 @@ def solve(problem: TdopfProblem) -> TdopfSolution:
 
     cols, rows = problem.cols, problem.ub_rows
     net = problem.network
-    bus, line = net.carried_rows
-    n3 = 3 * net.n
+    carried = net.carried_rows
+    m, n3 = len(carried), 3 * net.n
     x = res.x
     alpha = {der.id: float(a) for der, a in zip(problem.population.ders, x[cols["alpha"]])}
-    p_flow, q_flow = _spread(x[cols["p"]], line, n3), _spread(x[cols["q"]], line, n3)
+    p_flow, q_flow = _spread(x[cols["p"]], carried, n3), _spread(x[cols["q"]], carried, n3)
     v = lindistflow_voltages(net.matrices, net.v0, p_flow, q_flow)
     p0, q0 = head_injection(net.matrices, p_flow, q_flow)
 
     lam = res.eq_marginals
     mu = -res.ub_marginals  # nonnegative in the identity convention
-    mu_v_upper, mu_v_lower = _spread(mu[rows["voltage_box"]].reshape(2, -1), bus, n3)
+    mu_v_upper, mu_v_lower = _spread(mu[rows["voltage_box"]].reshape(2, -1), carried, n3)
     lower = res.lower_marginals
     upper = res.upper_marginals
 
@@ -378,11 +375,11 @@ def solve(problem: TdopfProblem) -> TdopfSolution:
         status="optimal",
         alpha=alpha,
         p_flow=p_flow, q_flow=q_flow, v=v, p0=p0, q0=q0,
-        lambda_p=_spread(lam[:len(bus)], bus, n3),
-        lambda_q=_spread(lam[len(bus):2 * len(bus)], bus, n3),
+        lambda_p=_spread(lam[:m], carried, n3),
+        lambda_q=_spread(lam[m:2 * m], carried, n3),
         lambda_net_volume=float(lam[-1]) if problem.zero_net_volume else 0.0,
         mu_v_upper=mu_v_upper, mu_v_lower=mu_v_lower,
-        mu_line=_spread(mu[rows["line_polygon"]].reshape(-1, len(line)), line, n3),
+        mu_line=_spread(mu[rows["line_polygon"]].reshape(-1, m), carried, n3),
         mu_sub=mu[rows["substation_polygon"]].reshape(-1, 3),
         alpha_lo=lower[cols["alpha"]], alpha_up=-upper[cols["alpha"]],
         objective_cents=res.fun,
@@ -420,16 +417,16 @@ def kkt_residuals(problem: TdopfProblem, solution: TdopfSolution) -> dict:
     if solution.status != "optimal":
         raise StateError("optimality conditions need an optimal solution")
     cols, rows = problem.cols, problem.ub_rows
-    bus, line = problem.network.carried_rows
+    carried = problem.network.carried_rows
     x = np.empty(len(problem.c))
     x[cols["alpha"]] = [solution.alpha[d.id] for d in problem.population.ders]
-    x[cols["p"]], x[cols["q"]] = solution.p_flow[line], solution.q_flow[line]
-    lam = np.concatenate([solution.lambda_p[bus], solution.lambda_q[bus],
+    x[cols["p"]], x[cols["q"]] = solution.p_flow[carried], solution.q_flow[carried]
+    lam = np.concatenate([solution.lambda_p[carried], solution.lambda_q[carried],
                           [solution.lambda_net_volume] if problem.zero_net_volume else []])
     mu = np.empty(len(problem.b_ub))
-    mu[rows["voltage_box"]] = np.concatenate([solution.mu_v_upper[bus],
-                                              solution.mu_v_lower[bus]])
-    mu[rows["line_polygon"]] = solution.mu_line[:, line].ravel()
+    mu[rows["voltage_box"]] = np.concatenate([solution.mu_v_upper[carried],
+                                              solution.mu_v_lower[carried]])
+    mu[rows["line_polygon"]] = solution.mu_line[:, carried].ravel()
     mu[rows["substation_polygon"]] = solution.mu_sub.ravel()
     z_lo, z_up = np.zeros_like(x), np.zeros_like(x)
     z_lo[cols["alpha"]], z_up[cols["alpha"]] = solution.alpha_lo, solution.alpha_up
@@ -492,21 +489,20 @@ def solution_document(solution: TdopfSolution, network: Network,
         return doc
     doc["alpha"] = {d.id: solution.alpha[d.id] for d in population.ders}
 
-    bus, line = network.carried_rows
+    rows = network.carried_rows
     labels = network.row_labels
     s_base = network.s_base_kva
 
     def bus_values(vec):
         return [{"bus": label, "phase": ph, "value": value}
-                for label, ph, value in zip(labels.bus, labels.bus_phase,
-                                            vec[bus].tolist())]
+                for label, ph, value in zip(labels.bus, labels.phase, vec[rows].tolist())]
 
     doc["voltages"] = voltage_rows(network, solution.v)
     doc["flows"] = [{"from": frm, "to": to, "phase": ph, "p_kw": p_kw, "q_kvar": q_kvar}
                     for frm, to, ph, p_kw, q_kvar in zip(
-                        labels.line_from, labels.line_to, labels.line_phase,
-                        (solution.p_flow[line] * s_base).tolist(),
-                        (solution.q_flow[line] * s_base).tolist())]
+                        labels.parent, labels.bus, labels.phase,
+                        (solution.p_flow[rows] * s_base).tolist(),
+                        (solution.q_flow[rows] * s_base).tolist())]
     doc["head"] = {"p_kw": (solution.p0 * s_base).tolist(),
                    "q_kvar": (solution.q0 * s_base).tolist()}
     doc["duals"] = {"lambda_p": bus_values(solution.lambda_p),

@@ -140,16 +140,31 @@ def random_tree_doc(rng, n_bus, *, tight_voltage=False, all_three_phase=True,
     """A random radial feeder document for the randomized suites.
 
     Parent of bus i is drawn uniformly from 0..i-1, so the labels are already
-    topological.  Loads are light unless load_scale says otherwise.
+    topological.  Loads are light unless load_scale says otherwise.  With
+    all_three_phase False, each bus and the line feeding it carry a nonempty
+    subset of the parent's phases, drawn after the draws a three-phase tree
+    makes, with loads and impedances only on those phases.
     """
     buses = [bus_rec(0)]
     lines = []
+    phases = ["abc"]
     for i in range(1, n_bus):
         parent = int(rng.integers(0, i))
         p = {ph: float(-rng.uniform(5.0, 60.0) * load_scale) for ph in "abc"}
-        q = {ph: 0.4 * p[ph] for ph in "abc"}
-        buses.append(bus_rec(i, p_kw=p, q_kvar=q))
-        lines.append(line_rec(parent, i, scale=float(rng.uniform(0.1, 0.6)),
-                              s_max_kva=s_max_kva))
+        line = line_rec(parent, i, scale=float(rng.uniform(0.1, 0.6)),
+                        s_max_kva=s_max_kva)
+        own = "abc"
+        if not all_three_phase:
+            subset = int(rng.integers(1, 2 ** len(phases[parent])))
+            own = "".join(ph for k, ph in enumerate(phases[parent]) if subset >> k & 1)
+            on = np.array([ph in own for ph in "abc"])
+            off = ~np.outer(on, on)
+            for key in ("r_ohm", "x_ohm"):
+                line[key] = np.where(off, 0.0, line[key]).tolist()
+            line["phases"] = own
+        phases.append(own)
+        buses.append(bus_rec(i, phases=own, p_kw={ph: p[ph] for ph in own},
+                             q_kvar={ph: 0.4 * p[ph] for ph in own}))
+        lines.append(line)
     v_min = 0.98 if tight_voltage else 0.95
     return feeder_doc(buses=buses, lines=lines, v_min_pu=v_min)

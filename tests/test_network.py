@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, solve_triangular
 
@@ -197,6 +199,15 @@ class TestLoading:
         with pytest.raises(SchemaError, match="bus '1' carries a phase this line does not feed"):
             load_network(doc)
 
+    @pytest.mark.parametrize("load", [{"p_kw": {"b": -100.0}}, {"q_kvar": 30.0}],
+                             ids=["p", "q"])
+    def test_fixed_load_on_the_head_rejected(self, load):
+        # the balances cover non-head buses only, so such a load would be dropped
+        doc = feeder_doc(buses=[bus_rec("150", **load), bus_rec(1)],
+                         lines=[line_rec("150", 1)])
+        with pytest.raises(SchemaError, match="head bus '150'"):
+            load_network(doc)
+
 
 class TestRowLayout:
     def test_row_iterators_agree_with_row_of(self):
@@ -368,26 +379,38 @@ def test_structural_matrices_match_dense_oracle(doc):
     assert block.has_canonical_format and np.all(block.data != 0)
 
 
+def assert_one_carried_index(net):
+    """Each bus phase and the line phase that feeds it share one carried row,
+    and `row_labels` names it by bus, phase and the feeding line's parent."""
+    rows = net.carried_rows
+    assert rows.dtype == np.intp and not rows.flags.writeable
+    labels = net.row_labels
+    assert list(zip(labels.bus, labels.phase, rows.tolist())) == [
+        (b.label, ph, row) for b, ph, row in net.bus_rows()]
+    assert list(zip(labels.parent, labels.bus, labels.phase, rows.tolist())) == [
+        (net.label_of(ln.from_bus), net.label_of(ln.to_bus), ph, row)
+        for ln, ph, row in net.line_rows()]
+
+
 @pytest.mark.parametrize("doc", [bundled_feeder, lateral_feeder_doc],
                          ids=["bundled-123", "phase-b-lateral"])
 def test_row_labels_name_the_carried_rows_in_order(doc):
     net = load_network(doc())
-    bus, line = net.carried_rows
-    labels = net.row_labels
-    assert list(zip(labels.bus, labels.bus_phase, bus.tolist())) == [
-        (b.label, ph, row) for b, ph, row in net.bus_rows()]
-    assert list(zip(labels.line_from, labels.line_to, labels.line_phase,
-                    line.tolist())) == [
-        (net.label_of(ln.from_bus), net.label_of(ln.to_bus), ph, row)
-        for ln, ph, row in net.line_rows()]
-    assert net.row_labels is labels
+    assert_one_carried_index(net)
+    assert net.row_labels is net.row_labels
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=12))
+@settings(max_examples=60, deadline=None)
+def test_lateral_trees_have_one_carried_index(seed, n_bus):
+    doc = random_tree_doc(np.random.default_rng(seed), n_bus, all_three_phase=False)
+    assert_one_carried_index(load_network(doc))
 
 
 def test_voltage_rows_read_zero_where_the_squared_voltage_is_not_positive():
     net = load_network(lateral_feeder_doc())
     v = np.full(3 * net.n, 1.0404)
-    bus = net.carried_rows[0]
-    v[bus[:4]] = [0.0, -0.0, -1e-3, np.nan]
+    v[net.carried_rows[:4]] = [0.0, -0.0, -1e-3, np.nan]
     rows = voltage_rows(net, v)
     assert [r["v_pu"] for r in rows] == [0.0, 0.0, 0.0, 0.0, 1.02, 1.02, 1.02]
     assert all(repr(r["v_pu"]) != "-0.0" for r in rows)

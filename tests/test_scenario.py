@@ -254,6 +254,17 @@ BAD_FILES = {
 }
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_paper_case_exports_no_violation_on_interval_585339093():
+    # ref123-paper's interval 585339093: the dispatch takes branch `none` and
+    # sags buses 113 and 114 on phase a below the voltage floor
+    config = load_scenario({
+        "schema": "gridclear-scenario/1", "feeder": bundled_feeder(),
+        "ders": {"generate": {"n_bids": 40, "n_offers": 15, "seed": 585339093}},
+        "market": {"m_cents_per_kwh": 2.5, "lmp": 13.0}, "case": "C"})
+    assert run_scenario(config).violations == []
+
+
 def test_exports_list_only_carried_phases(tmp_path):
     ders = {"schema": "gridclear-ders/1", "ders": [
         {"id": "b1", "bus": 2, "phases": "b", "side": "bid",
@@ -346,6 +357,14 @@ class TestCli:
                               "-o", str(tmp_path / "plot")]}[command]
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_fixed_load_on_the_head_exit_code(self, tmp_path, capsys):
+        feeder = mc_feeder_doc()
+        feeder["buses"][0]["fixed_p_kw"] = {"a": -100.0, "b": -100.0, "c": -100.0}
+        cfg = write_scenario(tmp_path, feeder=feeder)
+        assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 2
+        assert "head bus '0'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_generate_ders_into_a_directory_exit_code(self, tmp_path, capsys):
         path = write_scenario(tmp_path)

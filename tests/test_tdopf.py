@@ -272,16 +272,15 @@ class TestVoltageCongestion:
 
     def test_kkt_residuals_catch_a_shifted_price(self, optimum):
         net, prob, sol, _ = optimum
-        bus = net.carried_rows[0]
         lambda_p = sol.lambda_p.copy()
-        lambda_p[bus[0]] += 1e-3 * np.max(np.abs(lambda_p))
+        lambda_p[net.carried_rows[0]] += 1e-3 * np.max(np.abs(lambda_p))
         res = kkt_residuals(prob, replace(sol, lambda_p=lambda_p))
         assert max(res["stationarity_alpha"], res["stationarity_p"]) > 1e-6
 
     def test_kkt_residuals_catch_a_price_on_a_slack_row(self, optimum):
         net, prob, sol, top_mu = optimum
-        bus = net.carried_rows[0]
-        row = bus[np.argmax(net.v_max - sol.v[bus])]
+        rows = net.carried_rows
+        row = rows[np.argmax(net.v_max - sol.v[rows])]
         assert net.v_max - sol.v[row] > 1e-2 and sol.mu_v_upper[row] == 0.0
         mu_v_upper = sol.mu_v_upper.copy()
         mu_v_upper[row] += 1e-3 * top_mu
@@ -291,7 +290,7 @@ class TestVoltageCongestion:
     def test_kkt_residuals_catch_a_negative_multiplier(self, optimum):
         net, prob, sol, top_mu = optimum
         mu_line = sol.mu_line.copy()
-        mu_line[0, net.carried_rows[1][0]] = -1e-3 * top_mu
+        mu_line[0, net.carried_rows[0]] = -1e-3 * top_mu
         res = kkt_residuals(prob, replace(sol, mu_line=mu_line))
         assert res["dual_sign"] > 1e-6
 
