@@ -58,7 +58,7 @@ def main():
           f"z_base {z_base:.6f} ohm")
 
     m = build_matrices(net)
-    rbar = m.d_r[:3, :3]
+    rbar = m.r_bar[0]
     print("\nphase-coupled R block (p.u.), line 0-1:")
     with np.printoptions(precision=4, suppress=True):
         print(rbar)
@@ -66,10 +66,10 @@ def main():
     print("raise the voltage of a coupled phase, which is why single-phase")
     print("resources need the full 3x3 treatment.")
 
-    # incidence sanity: head columns and internal columns telescope to zero
-    stacked = np.vstack([np.eye(3)] * net.n)
+    # incidence sanity: head columns and internal columns telescope to zero;
+    # every phase is the same tree, so |c0 + C S| is the bus-level |t0 + T 1|
     print(f"\nincidence identity |c0 + C S| = "
-          f"{np.max(np.abs(m.c0 + m.c @ stacked)):.1e}")
+          f"{np.max(np.abs(m.t0 + m.t @ np.ones(net.n))):.1e}")
 
     pop = DerPopulation.from_ders([], net)
     state = evaluate_dispatch(net, pop, {})

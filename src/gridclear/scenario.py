@@ -314,7 +314,7 @@ def _scalars(values) -> bool:
     return _all_of(values, (str, int, float, type(None)))
 
 
-def _json_text(obj, newline: str = "\n") -> str:
+def _json_text(obj, newline: str = "\n", _on_path: frozenset = frozenset()) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for `obj`
     nested where `newline` (a line break and that depth's indent) starts
     each of its lines.
@@ -329,7 +329,9 @@ def _json_text(obj, newline: str = "\n") -> str:
     a record boundary puts `{` after one.  Other containers recurse, and a
     dict with a key that is not a str is left to the stdlib and
     re-indented.  A scalar, or an object JSON has no form for (TypeError),
-    goes to the C encoder alone.
+    goes to the C encoder alone.  `_on_path` holds the ids of the
+    containers that enclose `obj`: meeting one again means the document
+    contains itself, which raises ValueError as the stdlib does.
     """
     if isinstance(obj, dict) and not _all_of(obj, str):
         return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
@@ -340,9 +342,12 @@ def _json_text(obj, newline: str = "\n") -> str:
     if _scalars(values):
         flat = _flat_encoder(inner).encode(obj)
         return flat[0] + inner + flat[1:-1] + newline + flat[-1]
+    if id(obj) in _on_path:
+        raise ValueError("Circular reference detected")
+    on_path = _on_path | {id(obj)}
     if isinstance(obj, dict):
         body = ("," + inner).join(f"{encode_basestring_ascii(key)}: "
-                                  f"{_json_text(obj[key], inner)}"
+                                  f"{_json_text(obj[key], inner, on_path)}"
                                   for key in sorted(obj))
         return "{" + inner + body + newline + "}"
     if (_all_of(obj, dict) and all(obj) and _all_of(chain.from_iterable(obj), str)
@@ -352,7 +357,7 @@ def _json_text(obj, newline: str = "\n") -> str:
         body = flat[2:-2].replace("}," + record + "{",
                                   inner + "}," + inner + "{" + record)
         return "[" + inner + "{" + record + body + inner + "}" + newline + "]"
-    return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) \
+    return "[" + inner + ("," + inner).join(_json_text(v, inner, on_path) for v in obj) \
         + newline + "]"
 
 

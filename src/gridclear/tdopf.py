@@ -247,9 +247,10 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     p_f, q_f = network.fixed_injections()
     beta, delta, gamma = params.polygon()
 
-    # C' is kron(T', I3): built from the bus-level tree, it skips a scan of dense 3N x 3N c
-    c_t = sparse.kron(sparse.csr_array(matrices.c[::3, ::3].T), sparse.eye_array(3),
-                      format="csr")[rows][:, rows]
+    # C' is kron(T', I3) and the head's rows kron(t0', I3): the bus-level
+    # incidence repeated on each phase
+    c_t = sparse.kron(matrices.t.T, sparse.eye_array(3), format="csr")[rows][:, rows]
+    head = sparse.kron(matrices.t0[None, :], sparse.eye_array(3), format="csr")[:, rows]
     a_eq = _canonical(sparse.block_array([
         [sparse.csr_array(-population.scatter_p()[rows]), c_t, None],
         [sparse.csr_array(-population.scatter_q()[rows]), None, c_t]]))
@@ -265,7 +266,7 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
                                         np.full(m, network.v0 - network.v_min)])),
         "line_polygon": (sparse.kron(edge_pq, sparse.eye_array(m)),
                          np.outer(-gamma, s_line).ravel()),
-        "substation_polygon": (sparse.kron(edge_pq, sparse.csr_array(matrices.c0.T[:, rows])),
+        "substation_polygon": (sparse.kron(edge_pq, head),
                                np.outer(-gamma, network.s0_max).ravel()),
     }
     flow_rows = sparse.vstack([block for block, _ in families.values()])
@@ -276,7 +277,7 @@ def assemble(network: Network, population: DerPopulation, params: TdopfParams,
     c = np.zeros(n + 2 * m)
     c[cols["alpha"]] = [gamma_price(der, params.big_m_cents) * der.volume_kw
                         * params.delta_t_hours for der in population.ders]
-    c[cols["p"]] = params.m_cents_per_kwh * scale * (matrices.c0 @ np.ones(3))[rows]
+    c[cols["p"]] = params.m_cents_per_kwh * scale * np.repeat(matrices.t0, 3)[rows]
 
     joint = TdopfProblem(
         network=network, population=population, zero_net_volume=(),

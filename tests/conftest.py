@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, solve_triangular
+
+from gridclear.network import phase_coupled_impedance
 
 # Impedance matrices (ohm/mile) for a 336,400 26/7 ACSR overhead configuration,
 # used as the stock three-phase line in the small fixtures.
@@ -168,3 +171,41 @@ def random_tree_doc(rng, n_bus, *, tight_voltage=False, all_three_phase=True,
         lines.append(line)
     v_min = 0.98 if tight_voltage else 0.95
     return feeder_doc(buses=buses, lines=lines, v_min_pu=v_min)
+
+
+def dense_matrices_oracle(net):
+    """The network matrices built at 3N x 3N, the reference the package's
+    bus-level tree is checked against: +-I3 incidence blocks c0 (3N x 3)
+    and c, a 3N-wide forward substitution for c_inv, block_diag for d_r /
+    d_x, and the dense voltage rows 2 c_inv [D_r D_x] stacked over their
+    negation.  Returns (dict of the five matrices, voltage rows)."""
+    n = net.n
+    c0 = np.zeros((3 * n, 3))
+    c = np.zeros((3 * n, 3 * n))
+    for line in net.lines:
+        l = line.index
+        c[3 * l:3 * l + 3, 3 * (line.to_bus - 1):3 * line.to_bus] = -np.eye(3)
+        if line.from_bus == 0:
+            c0[3 * l:3 * l + 3, :] = np.eye(3)
+        else:
+            c[3 * l:3 * l + 3, 3 * (line.from_bus - 1):3 * line.from_bus] = np.eye(3)
+    c_inv = solve_triangular(c, np.eye(3 * n), lower=True)
+    coupled = [phase_coupled_impedance(line.r, line.x) for line in net.lines]
+    d_r = block_diag(*[rb for rb, _ in coupled])
+    d_x = block_diag(*[xb for _, xb in coupled])
+    upper = np.hstack([2.0 * c_inv @ d_r, 2.0 * c_inv @ d_x])
+    dense = {"c0": c0, "c": c, "c_inv": c_inv, "d_r": d_r, "d_x": d_x}
+    return dense, np.vstack([upper, -upper])
+
+
+def assert_tree_matches_dense(m, dense):
+    """The bus-level tree `m` (a `NetworkMatrices`), repeated on each phase,
+    is exactly the oracle's 3N x 3N matrices `dense`: c0 = kron(t0, I3),
+    c = kron(T, I3), c_inv = kron(path, I3), and d_r / d_x hold r_bar /
+    x_bar on their diagonal blocks."""
+    eye = np.eye(3)
+    assert np.array_equal(np.kron(m.t0[:, None], eye), dense["c0"])
+    assert np.array_equal(np.kron(m.t.toarray(), eye), dense["c"])
+    assert np.array_equal(np.kron(m.path.toarray(), eye), dense["c_inv"])
+    assert np.array_equal(block_diag(*m.r_bar), dense["d_r"])
+    assert np.array_equal(block_diag(*m.x_bar), dense["d_x"])

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import block_diag, solve_triangular
+from scipy import sparse
 
 import gridclear.network
 from gridclear.ders import DerPopulation, population_document
@@ -24,7 +26,9 @@ from gridclear.scenario import bundled_feeder, load_scenario, run_scenario
 from conftest import (
     R_OHM_MILE,
     X_OHM_MILE,
+    assert_tree_matches_dense,
     bus_rec,
+    dense_matrices_oracle,
     feeder_doc,
     lateral_feeder_doc,
     line_rec,
@@ -228,24 +232,32 @@ class TestRowLayout:
 
 class TestIncidence:
     def test_two_bus_blocks(self, two_bus_doc):
-        m = build_matrices(load_network(two_bus_doc))
-        assert_allclose(m.c0, I3)
-        assert_allclose(m.c, -I3)
-        assert_allclose(m.c_inv, -I3)
+        net = load_network(two_bus_doc)
+        dense, _ = dense_matrices_oracle(net)
+        assert_allclose(dense["c0"], I3)
+        assert_allclose(dense["c"], -I3)
+        assert_allclose(dense["c_inv"], -I3)
+        assert_tree_matches_dense(build_matrices(net), dense)
 
     def test_path3_blocks(self, path3_doc):
-        m = build_matrices(load_network(path3_doc))
+        net = load_network(path3_doc)
+        dense, _ = dense_matrices_oracle(net)
         z = np.zeros((3, 3))
-        assert_allclose(m.c0, np.vstack([I3, z]))
-        assert_allclose(m.c, np.block([[-I3, z], [I3, -I3]]))
+        assert_allclose(dense["c0"], np.vstack([I3, z]))
+        assert_allclose(dense["c"], np.block([[-I3, z], [I3, -I3]]))
         # hand-inverted: lower block triangular of -I3
-        assert_allclose(m.c_inv, np.block([[-I3, z], [-I3, -I3]]))
+        assert_allclose(dense["c_inv"], np.block([[-I3, z], [-I3, -I3]]))
+        m = build_matrices(net)
+        assert_tree_matches_dense(m, dense)
+        assert np.array_equal(m.path.toarray(), [[-1.0, 0.0], [-1.0, -1.0]])
 
     def test_star3_blocks(self, star3_doc):
-        m = build_matrices(load_network(star3_doc))
-        assert_allclose(m.c0, np.vstack([I3, I3]))
-        assert_allclose(m.c, -np.eye(6))
-        assert_allclose(m.c_inv, -np.eye(6))
+        net = load_network(star3_doc)
+        dense, _ = dense_matrices_oracle(net)
+        assert_allclose(dense["c0"], np.vstack([I3, I3]))
+        assert_allclose(dense["c"], -np.eye(6))
+        assert_allclose(dense["c_inv"], -np.eye(6))
+        assert_tree_matches_dense(build_matrices(net), dense)
 
     def test_tree_identity_random(self):
         # c0 * I3 + C * [I3; ...; I3] = 0 on every feeder, so C^-1 c0 = -[I3; ...]
@@ -253,18 +265,28 @@ class TestIncidence:
         for _ in range(8):
             n = int(rng.integers(2, 9))
             net = load_network(random_tree_doc(rng, n))
-            m = build_matrices(net)
+            dense, _ = dense_matrices_oracle(net)
             stacked = np.tile(I3, (net.n, 1))
-            assert_allclose(m.c0 + m.c @ stacked, 0.0, atol=1e-12)
-            assert_allclose(m.c_inv @ m.c0, -stacked, atol=1e-10)
-            assert_allclose(m.c_inv @ m.c, np.eye(3 * net.n), atol=1e-10)
+            assert_allclose(dense["c0"] + dense["c"] @ stacked, 0.0, atol=1e-12)
+            assert_allclose(dense["c_inv"] @ dense["c0"], -stacked, atol=1e-10)
+            assert_allclose(dense["c_inv"] @ dense["c"], np.eye(3 * net.n), atol=1e-10)
+            # the same identities at bus level, exact since every entry is 0 or +-1
+            m = build_matrices(net)
+            assert_tree_matches_dense(m, dense)
+            ones = np.ones(net.n)
+            assert np.array_equal(m.t0 + m.t @ ones, np.zeros(net.n))
+            assert np.array_equal(m.path @ m.t0, -ones)
+            assert np.array_equal((m.path @ m.t).toarray(), np.eye(net.n))
 
     def test_impedance_blocks_are_coupled(self, two_bus_doc):
         net = load_network(two_bus_doc)
+        dense, _ = dense_matrices_oracle(net)
         m = build_matrices(net)
         r_bar, x_bar = coupling_oracle(net.lines[0].r, net.lines[0].x)
-        assert_allclose(m.d_r, r_bar, atol=1e-12)
-        assert_allclose(m.d_x, x_bar, atol=1e-12)
+        assert_allclose(dense["d_r"], r_bar, atol=1e-12)
+        assert_allclose(dense["d_x"], x_bar, atol=1e-12)
+        assert_allclose(m.r_bar, [r_bar], atol=1e-12)
+        assert_allclose(m.x_bar, [x_bar], atol=1e-12)
 
 
 class TestFlowEquations:
@@ -308,7 +330,7 @@ class TestFlowEquations:
             p, q = net.fixed_injections()
             P, Q = flows_from_injections(m, p, q)
             # per-bus balance and the lossless head identity
-            assert_allclose(m.c.T @ P, p, atol=1e-12)
+            assert_allclose(dense_matrices_oracle(net)[0]["c"].T @ P, p, atol=1e-12)
             p0, _ = head_injection(m, P, Q)
             assert p0.sum() == pytest.approx(-p.sum(), abs=1e-12)
 
@@ -337,31 +359,13 @@ class TestMatricesCache:
         net = load_network(bundled_feeder())
         assert net.matrices is net.matrices
         fresh = build_matrices(net)
-        for name in ("c0", "c", "c_inv", "d_r", "d_x"):
-            assert np.array_equal(getattr(net.matrices, name), getattr(fresh, name))
-
-
-def dense_matrices_oracle(net):
-    """The network matrices built at 3N x 3N: +-I3 incidence blocks, a
-    3N-wide forward substitution, block_diag, and the dense voltage rows
-    2 c_inv [D_r D_x] stacked over their negation."""
-    n = net.n
-    c0 = np.zeros((3 * n, 3))
-    c = np.zeros((3 * n, 3 * n))
-    for line in net.lines:
-        l = line.index
-        c[3 * l:3 * l + 3, 3 * (line.to_bus - 1):3 * line.to_bus] = -np.eye(3)
-        if line.from_bus == 0:
-            c0[3 * l:3 * l + 3, :] = np.eye(3)
-        else:
-            c[3 * l:3 * l + 3, 3 * (line.from_bus - 1):3 * line.from_bus] = np.eye(3)
-    c_inv = solve_triangular(c, np.eye(3 * n), lower=True)
-    coupled = [phase_coupled_impedance(line.r, line.x) for line in net.lines]
-    d_r = block_diag(*[rb for rb, _ in coupled])
-    d_x = block_diag(*[xb for _, xb in coupled])
-    upper = np.hstack([2.0 * c_inv @ d_r, 2.0 * c_inv @ d_x])
-    dense = {"c0": c0, "c": c, "c_inv": c_inv, "d_r": d_r, "d_x": d_x}
-    return dense, np.vstack([upper, -upper])
+        for name in ("t0", "r_bar", "x_bar"):
+            assert np.array_equal(getattr(net.matrices, name), getattr(fresh, name)), name
+        for name in ("t", "path"):
+            for part in ("data", "indices", "indptr"):
+                a, b = (getattr(getattr(mats, name), part) for mats in (net.matrices, fresh))
+                assert np.array_equal(a, b) and a.dtype == b.dtype, (name, part)
+        assert_tree_matches_dense(net.matrices, dense_matrices_oracle(net)[0])
 
 
 @pytest.mark.parametrize("doc", [bundled_feeder, lateral_feeder_doc],
@@ -370,13 +374,42 @@ def test_structural_matrices_match_dense_oracle(doc):
     net = load_network(doc())
     dense, voltage = dense_matrices_oracle(net)
     built = build_matrices(net)
-    for name, expected in dense.items():
-        got = getattr(built, name)
-        assert np.array_equal(got, expected), name
-        assert np.array_equal(np.signbit(got), np.signbit(expected)), name
+    assert_tree_matches_dense(built, dense)
+    for a in (built.t, built.path):
+        assert a.has_canonical_format
+        assert a.indices.dtype == a.indptr.dtype == np.int32
+        assert not any(part.flags.writeable for part in (a.data, a.indices, a.indptr))
     block = net.voltage_block
     assert np.array_equal(block.toarray(), voltage)
     assert block.has_canonical_format and np.all(block.data != 0)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=12))
+@settings(max_examples=60, deadline=None)
+def test_tree_maps_match_the_dense_oracle(seed, n_bus):
+    """Subtree sums, path sums and the head read give what the 3N x 3N
+    oracle's solve and products give, on trees with laterals."""
+    rng = np.random.default_rng(seed)
+    net = load_network(random_tree_doc(rng, n_bus, all_three_phase=False))
+    m = build_matrices(net)
+    dense, _ = dense_matrices_oracle(net)
+    p, q = rng.normal(size=(2, 3 * net.n))
+    P, Q = flows_from_injections(m, p, q)
+    assert_allclose(P, np.linalg.solve(dense["c"].T, p), rtol=0, atol=1e-12)
+    assert_allclose(Q, np.linalg.solve(dense["c"].T, q), rtol=0, atol=1e-12)
+    assert_allclose(lindistflow_voltages(m, net.v0, P, Q),
+                    net.v0 + 2.0 * dense["c_inv"] @ (dense["d_r"] @ P + dense["d_x"] @ Q),
+                    rtol=0, atol=1e-12)
+    for got, flow in zip(head_injection(m, P, Q), (P, Q)):
+        assert_allclose(got, dense["c0"].T @ flow, rtol=0, atol=1e-12)
+
+
+def test_matrices_grow_with_depth_not_with_n_squared():
+    net = load_network(random_tree_doc(np.random.default_rng(5), 1000))
+    m = build_matrices(net)
+    for f in fields(m):
+        a = getattr(m, f.name)
+        assert (a.nnz if sparse.issparse(a) else a.size) < 100 * net.n, f.name
 
 
 def assert_one_carried_index(net):

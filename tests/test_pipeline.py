@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gridclear.pipeline
 from gridclear.ders import (
@@ -13,7 +15,7 @@ from gridclear.ders import (
     population_document,
     reactive_ratio,
 )
-from gridclear.errors import StateError
+from gridclear.errors import InfeasibleError, StateError
 from gridclear.network import PHASES, load_network
 from gridclear.pipeline import (
     DISPATCH_TOL,
@@ -34,7 +36,14 @@ from gridclear.pipeline import (
 from gridclear.scenario import bundled_feeder, load_scenario, run_scenario
 from gridclear.tdopf import TdopfParams, TdopfSolution, assemble, kkt_residuals, solve
 
-from conftest import bus_rec, feeder_doc, lateral_feeder_doc, mc_ders, mc_feeder_doc
+from conftest import (
+    bus_rec,
+    feeder_doc,
+    lateral_feeder_doc,
+    mc_ders,
+    mc_feeder_doc,
+    random_tree_doc,
+)
 
 
 def dispatch_check_by_rows(network, population, alpha, params):
@@ -417,3 +426,46 @@ def test_every_lp_of_a_crowd_interval_is_optimal(monkeypatch):
         assert solution.status == "optimal"
         for key, val in kkt_residuals(problem, solution).items():
             assert val <= 1e-9, f"{key} = {val}"
+
+
+def assert_cutoffs_are_reduced_costs(bins):
+    """Each DER's cutoff is its stated price shifted by its reduced cost per
+    kWh in its own side's bin: price - (alpha_lo - alpha_up) / (volume * dt),
+    the stationarity of its column with the big-M subsidy cancelled."""
+    cutoffs = qualification_prices(bins)
+    dt = bins.params.delta_t_hours
+    for j, der in enumerate(bins.population.ders):
+        sol = bins.own_bin(der)
+        reduced = (sol.alpha_lo[j] - sol.alpha_up[j]) / (der.volume_kw * dt)
+        assert cutoffs[der.id] == pytest.approx(der.price - reduced, rel=0, abs=1e-9), der.id
+
+
+class TestCutoffsAreReducedCosts:
+    @pytest.mark.parametrize("case", ["C", "A", "B"])
+    @pytest.mark.parametrize("n_bids, n_offers, seed", [(40, 15, 1826701615),
+                                                        (600, 600, 1367864807)],
+                             ids=["ref123-paper", "ref123-crowd"])
+    def test_bundled_feeder(self, n_bids, n_offers, seed, case):
+        """An interval of each bundled-feeder workload; cases A and B keep
+        one side of the population, as `run_scenario` does."""
+        net = load_network(bundled_feeder())
+        pop = generate_population(GenerationSpec(n_bids=n_bids, n_offers=n_offers,
+                                                 seed=seed), net)
+        if case != "C":
+            pop = DerPopulation.from_ders(pop.subset("bid" if case == "A" else "offer"), net)
+        assert_cutoffs_are_reduced_costs(build_bins(net, pop, TdopfParams()))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=7),
+           st.sampled_from([0.25, 1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_random_trees(self, seed, n_bus, delta_t_hours):
+        rng = np.random.default_rng(seed)
+        net = load_network(random_tree_doc(rng, n_bus, all_three_phase=False))
+        pop = generate_population(GenerationSpec(n_bids=4, n_offers=4, seed=seed,
+                                                 volume_mean_kw=150.0, volume_sd_kw=100.0,
+                                                 volume_lo_kw=20.0, volume_hi_kw=400.0), net)
+        try:
+            bins = build_bins(net, pop, TdopfParams(delta_t_hours=delta_t_hours))
+        except InfeasibleError:
+            assume(False)
+        assert_cutoffs_are_reduced_costs(bins)

@@ -17,7 +17,7 @@ from gridclear.pipeline import (
 )
 from gridclear.tdopf import polygon_coefficients
 
-from conftest import random_tree_doc
+from conftest import assert_tree_matches_dense, dense_matrices_oracle, random_tree_doc
 
 
 @st.composite
@@ -34,8 +34,11 @@ class TestIncidenceProperties:
     def test_every_tree_telescopes_to_the_head(self, doc):
         net = load_network(doc)
         m = build_matrices(net)
+        dense, _ = dense_matrices_oracle(net)
+        assert_tree_matches_dense(m, dense)
         stacked = np.tile(np.eye(3), (net.n, 1))
-        assert np.max(np.abs(m.c0 + m.c @ stacked)) < 1e-12
+        assert np.max(np.abs(dense["c0"] + dense["c"] @ stacked)) < 1e-12
+        assert np.max(np.abs(m.t0 + m.t @ np.ones(net.n))) < 1e-12
 
     @given(tree_docs(), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -46,11 +49,12 @@ class TestIncidenceProperties:
         p = rng.normal(size=3 * net.n)
         q = rng.normal(size=3 * net.n)
         P, Q = flows_from_injections(m, p, q)
+        dense, _ = dense_matrices_oracle(net)
         # at every bus, inflow minus outflows equals the local injection
-        assert np.max(np.abs(m.c.T @ P - p)) < 1e-9
-        assert np.max(np.abs(m.c.T @ Q - q)) < 1e-9
+        assert np.max(np.abs(dense["c"].T @ P - p)) < 1e-9
+        assert np.max(np.abs(dense["c"].T @ Q - q)) < 1e-9
         # lossless network: the head supplies the total withdrawal
-        p0, _ = (m.c0.T @ P, m.c0.T @ Q)
+        p0 = dense["c0"].T @ P
         assert p0.sum() == pytest.approx(-p.sum(), abs=1e-9)
 
 

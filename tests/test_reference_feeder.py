@@ -9,6 +9,8 @@ from gridclear.network import build_matrices, load_network
 from gridclear.scenario import bundled_feeder
 from gridclear.tdopf import TdopfParams, assemble, solve
 
+from conftest import dense_matrices_oracle
+
 
 @pytest.fixture(scope="module")
 def net():
@@ -62,7 +64,9 @@ def test_base_case_solves_clean(net):
 
 def test_matrices_well_conditioned(net):
     m = build_matrices(net)
+    dense, _ = dense_matrices_oracle(net)
     # triangular incidence with unit diagonal: solves stay exact
-    assert np.allclose(np.diag(m.c), -1.0)
-    identity = m.c @ m.c_inv
+    assert np.array_equal(m.t.diagonal(), -np.ones(net.n))
+    assert np.allclose(np.diag(dense["c"]), -1.0)
+    identity = dense["c"] @ np.kron(m.path.toarray(), np.eye(3))
     assert np.max(np.abs(identity - np.eye(3 * net.n))) < 1e-12

@@ -503,6 +503,26 @@ class TestJsonWriter:
             _write_json(path, {"a": object()})
         assert not path.exists()
 
+    def test_document_that_contains_itself_leaves_no_file(self, tmp_path):
+        looped_list = []
+        looped_list.append(looped_list)
+        looped_dict = {}
+        looped_dict["k"] = looped_dict
+        path = tmp_path / "doc.json"
+        for doc in ({"x": looped_list}, looped_dict):
+            with pytest.raises(ValueError, match="Circular reference detected"):
+                json.dumps(doc, indent=2, sort_keys=True)
+            with pytest.raises(ValueError, match="Circular reference detected"):
+                _write_json(path, doc)
+            assert not path.exists()
+
+    def test_a_shared_container_is_not_a_loop(self, tmp_path):
+        shared = {"k": [1.5, "x"]}
+        doc = {"a": [shared, [shared]], "b": shared}
+        path = tmp_path / "doc.json"
+        _write_json(path, doc)
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
     def test_run_exports_are_the_stdlib_text_of_its_documents(self, tmp_path):
         result = run_scenario(load_scenario(write_scenario(tmp_path)), tmp_path / "out")
         for name, doc in result.documents.items():

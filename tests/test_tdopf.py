@@ -12,7 +12,7 @@ from gridclear._lp import solve_lp
 
 from gridclear.ders import Der, DerPopulation, GenerationSpec, generate_population, reactive_ratio
 from gridclear.errors import DomainError, SchemaError, StateError
-from gridclear.network import build_matrices, load_network
+from gridclear.network import load_network
 from gridclear.tdopf import (
     MAX_POLYGON_EDGES,
     TdopfParams,
@@ -27,7 +27,14 @@ from gridclear.tdopf import (
 )
 from gridclear.scenario import bundled_feeder
 
-from conftest import R_OHM_MILE, X_OHM_MILE, bus_rec, feeder_doc, line_rec
+from conftest import (
+    R_OHM_MILE,
+    X_OHM_MILE,
+    bus_rec,
+    dense_matrices_oracle,
+    feeder_doc,
+    line_rec,
+)
 
 
 def pop_of(net, ders):
@@ -419,29 +426,26 @@ class TestOwnBounds:
 
 def dense_layout_oracle(net, pop, params, zero_net_volume=()):
     """The constraint matrices over every 3N flow slot written out dense,
-    block by block, from a fresh `build_matrices`: a_ub = voltage rows,
+    block by block, from `dense_matrices_oracle`: a_ub = voltage rows,
     line-polygon rows, head rows; a_eq = real and reactive balances, then
     the volume row.  Returns (a_ub, b_ub, a_eq, b_eq)."""
-    m = build_matrices(net)
+    dense, voltage = dense_matrices_oracle(net)
     n, n3 = pop.n, 3 * net.n
     beta, delta, gamma = params.polygon()
     edges = len(beta)
     sl_a, sl_p, sl_q = slice(0, n), slice(n, n + n3), slice(n + n3, n + 2 * n3)
     a_eq = np.zeros((2 * n3 + (1 if zero_net_volume else 0), n + 2 * n3))
     a_eq[0:n3, sl_a] = -pop.scatter_p()
-    a_eq[0:n3, sl_p] = m.c.T
+    a_eq[0:n3, sl_p] = dense["c"].T
     a_eq[n3:2 * n3, sl_a] = -pop.scatter_q()
-    a_eq[n3:2 * n3, sl_q] = m.c.T
+    a_eq[n3:2 * n3, sl_q] = dense["c"].T
     for der_id in zero_net_volume:
         j = pop.column_of[der_id]
         a_eq[-1, j] = pop.ders[j].volume_kw
     p_f, q_f = net.fixed_injections()
     b_eq = np.concatenate([p_f, q_f, [0.0] if zero_net_volume else []])
-    mv_p = 2.0 * m.c_inv @ m.d_r
-    mv_q = 2.0 * m.c_inv @ m.d_x
     a_ub = np.zeros((2 * n3 + edges * n3 + edges * 3, n + 2 * n3))
-    a_ub[0:n3, sl_p], a_ub[0:n3, sl_q] = mv_p, mv_q
-    a_ub[n3:2 * n3, sl_p], a_ub[n3:2 * n3, sl_q] = -mv_p, -mv_q
+    a_ub[0:2 * n3, n:] = voltage
     s_line = np.concatenate([line.s_max for line in net.lines])
     b_ub = [np.full(n3, net.v_max - net.v0), np.full(n3, net.v0 - net.v_min)]
     for e in range(edges):
@@ -449,8 +453,8 @@ def dense_layout_oracle(net, pop, params, zero_net_volume=()):
         a_ub[rows, sl_p] = beta[e] * np.eye(n3)
         a_ub[rows, sl_q] = delta[e] * np.eye(n3)
         head = slice(2 * n3 + edges * n3 + 3 * e, 2 * n3 + edges * n3 + 3 * (e + 1))
-        a_ub[head, sl_p] = beta[e] * m.c0.T
-        a_ub[head, sl_q] = delta[e] * m.c0.T
+        a_ub[head, sl_p] = beta[e] * dense["c0"].T
+        a_ub[head, sl_q] = delta[e] * dense["c0"].T
         b_ub.append(-gamma[e] * s_line)
     b_ub.extend(-gamma[e] * net.s0_max for e in range(edges))
     return a_ub, np.concatenate(b_ub), a_eq, b_eq
@@ -613,7 +617,7 @@ def full_layout_solution(net, pop, params, clamp=None):
     c = np.zeros(n + 2 * n3)
     c[:n] = carried.c[carried.cols["alpha"]]
     c[n:n + n3] = (params.m_cents_per_kwh * net.s_base_kva * params.delta_t_hours
-                   * (build_matrices(net).c0 @ np.ones(3)))
+                   * (dense_matrices_oracle(net)[0]["c0"] @ np.ones(3)))
     flow_bounds = [(0.0, 0.0)] * n3
     for _, _, row in net.line_rows():
         flow_bounds[row] = (None, None)
